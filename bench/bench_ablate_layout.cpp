@@ -102,10 +102,10 @@ int main(int argc, char** argv) {
 
   std::vector<Cell> cells;
   std::uint64_t vm_4k = 0, zm_4k = 0;
+  const rt::Runtime runtime;
   for (const mesh::LayoutKind layout : kLayouts) {
-    const mesh::UnkContainer unk(
-        config, mem::HugePolicy::kNone, layout,
-        rt::Runtime::process_default().page_pool());
+    const mesh::UnkContainer unk(config, mem::HugePolicy::kNone, layout,
+                                 runtime.page_pool());
     for (const Page& page : kPages) {
       const tlb::QuantumStats q = sweep(unk, page.shift);
       if (page.shift == tlb::kShift4K) {

@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "experiment_runners.hpp"
+#include "par/parallel.hpp"
 #include "support/runtime_params.hpp"
 
 int main(int argc, char** argv) {
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
   rp.declare_int("sample", 4, "trace every Nth block");
   par::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  par::apply_runtime_params(rp);
+  const int lanes = par::runtime_lanes(rp);
   const int nsteps = static_cast<int>(rp.get_int("nsteps"));
   const int max_level = static_cast<int>(rp.get_int("max_level"));
   const int sample = static_cast<int>(rp.get_int("sample"));
@@ -34,10 +35,11 @@ int main(int argc, char** argv) {
       nsteps);
   bench::prepare_huge_pool(512ull << 20);
 
-  const auto without =
-      bench::run_eos_arm(mem::HugePolicy::kNone, nsteps, max_level, sample);
-  const auto with = bench::run_eos_arm(mem::HugePolicy::kHugetlbfs, nsteps,
-                                       max_level, sample);
+  mem::PagePool pool;
+  const auto without = bench::run_eos_arm(pool, mem::HugePolicy::kNone,
+                                          nsteps, max_level, sample, lanes);
+  const auto with = bench::run_eos_arm(pool, mem::HugePolicy::kHugetlbfs,
+                                       nsteps, max_level, sample, lanes);
 
   bench::print_paper_table(
       "RESULTS FOR THE EOS PROBLEM (model: A64FX-like core, 1.8 GHz)",

@@ -33,6 +33,7 @@
 #include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
+#include "par/parallel.hpp"
 #include "rt/runtime.hpp"
 #include "support/runtime_params.hpp"
 
@@ -42,15 +43,15 @@ namespace {
 /// mode. Returns the wall time of the evolution loop only: mesh setup
 /// and the serial tracing/commit work would otherwise dilute the
 /// reported parallel-sweep speedup.
-double run_hydro_scan_arm(fhp::bench::ExperimentArm& arm, fhp::sim::ExecMode mode,
-                          int nsteps, int max_level, int sample,
-                          int threads) {
+double run_hydro_scan_arm(fhp::bench::ExperimentArm& arm,
+                          fhp::mem::PagePool& pool, fhp::sim::ExecMode mode,
+                          int nsteps, int max_level, int sample, int lanes) {
   using namespace fhp;
   // Each scan run is a tenant: its own Runtime (explicit lane count)
-  // carving from the shared process pool.
+  // carving from the scan's shared pool.
   rt::RuntimeOptions ropt;
-  ropt.lanes = threads;
-  ropt.pool = &rt::Runtime::process_default().page_pool();
+  ropt.lanes = lanes;
+  ropt.pool = &pool;
   rt::Runtime runtime(ropt);
   sim::SedovParams params;
   params.max_level = max_level;
@@ -79,14 +80,14 @@ int run_thread_scan(const std::string& path, int nsteps, int max_level,
   using namespace fhp;
   const std::vector<bench::ScanArm> arms = {
       {"bulk_sync",
-       [&](bench::ExperimentArm& arm, int threads) {
-         return run_hydro_scan_arm(arm, sim::ExecMode::kBulkSync, nsteps,
-                                   max_level, sample, threads);
+       [&](bench::ExperimentArm& arm, mem::PagePool& pool, int lanes) {
+         return run_hydro_scan_arm(arm, pool, sim::ExecMode::kBulkSync,
+                                   nsteps, max_level, sample, lanes);
        }},
       {"task_graph",
-       [&](bench::ExperimentArm& arm, int threads) {
-         return run_hydro_scan_arm(arm, sim::ExecMode::kTaskGraph, nsteps,
-                                   max_level, sample, threads);
+       [&](bench::ExperimentArm& arm, mem::PagePool& pool, int lanes) {
+         return run_hydro_scan_arm(arm, pool, sim::ExecMode::kTaskGraph,
+                                   nsteps, max_level, sample, lanes);
        }},
   };
   return bench::run_thread_scan(path, "table2_hydro", arms,
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
   par::declare_runtime_params(rp);
   obs::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  par::apply_runtime_params(rp);
+  const int lanes = par::runtime_lanes(rp);
   const int nsteps = static_cast<int>(rp.get_int("nsteps"));
   const int max_level = static_cast<int>(rp.get_int("max_level"));
   const int sample = static_cast<int>(rp.get_int("sample"));
@@ -122,7 +123,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::Sampler> sampler;
   if (!timeline_path.empty()) {
     obs::TelemetryOptions topts;
-    topts.lanes = std::max(par::threads(), 4);
+    topts.lanes = std::max(lanes, 4);
     telemetry = std::make_unique<obs::Telemetry>(topts);
     telemetry->install();
     obs::SamplerOptions sopts;
@@ -154,10 +155,11 @@ int main(int argc, char** argv) {
       nsteps);
   bench::prepare_huge_pool(800ull << 20);
 
-  const auto without =
-      bench::run_hydro_arm(mem::HugePolicy::kNone, nsteps, max_level, sample);
-  const auto with = bench::run_hydro_arm(mem::HugePolicy::kHugetlbfs, nsteps,
-                                         max_level, sample);
+  mem::PagePool pool;
+  const auto without = bench::run_hydro_arm(pool, mem::HugePolicy::kNone,
+                                            nsteps, max_level, sample, lanes);
+  const auto with = bench::run_hydro_arm(pool, mem::HugePolicy::kHugetlbfs,
+                                         nsteps, max_level, sample, lanes);
 
   bench::print_paper_table(
       "RESULTS FOR THE 3-D HYDRO PROBLEM (model: A64FX-like core, 1.8 GHz)",

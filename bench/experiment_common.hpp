@@ -23,8 +23,8 @@
 #include "mem/hugeadm.hpp"
 #include "mem/huge_policy.hpp"
 #include "mem/meminfo.hpp"
+#include "mem/page_pool.hpp"
 #include "mem/page_size.hpp"
-#include "par/parallel.hpp"
 #include "perf/events.hpp"
 #include "perf/perf_context.hpp"
 #include "perf/region.hpp"
@@ -229,12 +229,13 @@ class JsonWriter {
 // ------------------------------------------------------------ thread scan
 
 /// One named arm of a thread scan (e.g. "bulk_sync" vs "task_graph"):
-/// runs the workload once under the supplied instrumentation bundle at
-/// the already-configured thread count and returns the evolution wall
-/// time in seconds.
+/// runs the workload once under the supplied instrumentation bundle, on
+/// a runtime of \p lanes lanes carving from \p pool, and returns the
+/// evolution wall time in seconds.
 struct ScanArm {
   const char* name;
-  std::function<double(ExperimentArm& arm, int threads)> run;
+  std::function<double(ExperimentArm& arm, mem::PagePool& pool, int lanes)>
+      run;
 };
 
 /// Shared --json=PATH thread-scan entry. Runs every arm at 1, 2 and 4
@@ -253,12 +254,12 @@ inline int run_thread_scan(const std::string& path, const char* bench,
     perf::CounterSet totals;
   };
   std::vector<std::array<Run, 3>> runs(arms.size());
+  mem::PagePool pool;  // shared by every run, like one process's inventory
   for (std::size_t a = 0; a < arms.size(); ++a) {
     for (int t = 0; t < 3; ++t) {
-      par::set_threads(kThreads[t]);
       ExperimentArm arm;
       runs[a][static_cast<std::size_t>(t)].wall =
-          arms[a].run(arm, kThreads[t]);
+          arms[a].run(arm, pool, kThreads[t]);
       runs[a][static_cast<std::size_t>(t)].totals = arm.perf().snapshot();
       const auto& r = runs[a][static_cast<std::size_t>(t)];
       std::printf("# arm=%s threads=%d wall=%.3f s cycles=%llu dtlb=%llu\n",
@@ -269,7 +270,6 @@ inline int run_thread_scan(const std::string& path, const char* bench,
                       r.totals[perf::Event::kDtlbMisses]));
     }
   }
-  par::set_threads(1);
 
   bool identical = true;
   const perf::CounterSet& ref = runs[0][0].totals;

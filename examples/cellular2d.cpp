@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   mesh::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
   mem::apply_runtime_params(rp);
-  par::apply_runtime_params(rp);
   mesh::apply_runtime_params(rp);
 
   const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  rt::Runtime runtime;
+  rt::Runtime runtime(rt::RuntimeOptions{.lanes = par::runtime_lanes(rp)});
 
   sim::CellularParams params;
   params.max_level = static_cast<int>(rp.get_int("max_level"));

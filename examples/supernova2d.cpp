@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   mesh::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
   mem::apply_runtime_params(rp);
-  par::apply_runtime_params(rp);
   mesh::apply_runtime_params(rp);
 
   const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
@@ -46,8 +45,9 @@ int main(int argc, char** argv) {
   }
 
   // The execution context: built after the runtime params applied above,
-  // so its lane count honors --par.threads and its layout FLASHHP_LAYOUT.
-  rt::Runtime runtime;
+  // so its layout honors --mesh.layout / FLASHHP_LAYOUT; its lane count
+  // is --par.threads (default FLASHHP_THREADS, else 1).
+  rt::Runtime runtime(rt::RuntimeOptions{.lanes = par::runtime_lanes(rp)});
 
   sim::SupernovaParams params;
   params.central_density = rp.get_real("rho_c");

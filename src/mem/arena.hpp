@@ -47,12 +47,9 @@ class Arena {
   /// \param policy page regime for all chunks.
   /// \param chunk_bytes growth quantum; individual allocations larger than
   ///        this get a dedicated chunk of their own size.
-  /// \param pool the PagePool chunks are carved from; nullptr defers to
-  ///        global_page_pool() at first allocation (so constructing an
-  ///        Arena never forces pool initialization).
-  explicit Arena(HugePolicy policy = default_policy(),
-                 std::size_t chunk_bytes = 64ull << 20,
-                 PagePool* pool = nullptr);
+  /// \param pool the PagePool chunks are carved from (usually
+  ///        `runtime.page_pool()`); it must outlive the arena.
+  Arena(HugePolicy policy, std::size_t chunk_bytes, PagePool& pool);
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -96,17 +93,12 @@ class Arena {
   mutable Mutex mutex_;
   HugePolicy policy_;       // set in the constructor, immutable afterwards
   std::size_t chunk_bytes_; // set in the constructor, immutable afterwards
-  PagePool* pool_;          // set in the constructor, immutable afterwards
+  PagePool& pool_;
   std::vector<PoolAllocation> chunks_ FHP_GUARDED_BY(mutex_);
   /// next free byte in the last chunk
   std::byte* cursor_ FHP_GUARDED_BY(mutex_) = nullptr;
   std::byte* chunk_end_ FHP_GUARDED_BY(mutex_) = nullptr;
   ArenaStats stats_ FHP_GUARDED_BY(mutex_);
 };
-
-/// The process-wide arena used by the mesh/EOS containers unless an
-/// explicit arena is supplied. Its policy is fixed on first use from
-/// mem::default_policy() (i.e. the environment).
-[[nodiscard]] Arena& global_arena();
 
 }  // namespace fhp::mem

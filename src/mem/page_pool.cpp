@@ -392,13 +392,6 @@ void PagePool::fini() {
   state_ = State::kFinished;  // idempotent from kFinished
 }
 
-// The process-wide pool, kept only as the substrate of the deprecated
-// shims and rt::Runtime::process_default(). fhp-lint: allow(singleton-instance)
-PagePool& global_page_pool() {
-  static PagePool pool;
-  return pool;
-}
-
 void declare_page_pool_params(RuntimeParams& params) {
   params.declare_string(kPoolParamName, "",
                         "page-pool reservation spec (off | <pages> | "

@@ -237,14 +237,6 @@ class PagePool {
   PoolCounters counters_ FHP_GUARDED_BY(mutex_);
 };
 
-/// The process-wide pool backing `rt::Runtime::process_default()` (and,
-/// transitionally, `global_arena()`). Auto-initializes from the
-/// environment on first allocation. New code should not call this —
-/// take a PagePool& (or an rt::Runtime&) instead; the lint rule
-/// `singleton-instance` bans new call sites outside the shims.
-// fhp-lint: allow(singleton-instance)
-[[nodiscard]] PagePool& global_page_pool();
-
 /// Names of the runtime parameters declared by declare_page_pool_params().
 inline constexpr const char* kPoolParamName = "mem.page_pool";
 inline constexpr const char* kPlacementParamName = "mem.placement";

@@ -24,7 +24,8 @@ AmrMesh::AmrMesh(const MeshConfig& config, mem::HugePolicy policy,
     : config_(config),
       tree_(config),
       unk_(config, policy, layout, pool),
-      arena_(arena != nullptr ? arena : &par::process_arena()) {
+      arena_(arena) {
+  FHP_REQUIRE(arena_ != nullptr, "AmrMesh needs an execution arena");
   tree_.create_roots();
   unk_.refresh_page_shift();
 }

@@ -40,13 +40,11 @@ class AmrMesh {
   /// \param pool the PagePool `unk` is carved from (runtime callers pass
   ///        `runtime.page_pool()`).
   /// \param arena the execution arena block-parallel mesh operations
-  ///        (and the physics kernels iterating this mesh) run on; null =
-  ///        the process arena. rt::Runtime-owned setups pass
-  ///        `&runtime.arena()` so concurrent meshes never share a
-  ///        region guard.
+  ///        (and the physics kernels iterating this mesh) run on, usually
+  ///        `&runtime.arena()`; must not be null (ConfigError) and must
+  ///        outlive the mesh.
   AmrMesh(const MeshConfig& config, mem::HugePolicy policy,
-          LayoutKind layout, mem::PagePool& pool,
-          par::ExecArena* arena = nullptr);
+          LayoutKind layout, mem::PagePool& pool, par::ExecArena* arena);
 
   /// The arena this mesh's block-parallel sweeps run on.
   [[nodiscard]] par::ExecArena& arena() const noexcept { return *arena_; }

@@ -28,9 +28,11 @@ std::uint64_t steady_now_ns() {
 
 Telemetry::Telemetry(TelemetryOptions options)
     : clock_(options.clock ? std::move(options.clock) : steady_now_ns) {
-  const int lanes = options.lanes > 0 ? options.lanes : par::threads();
-  rings_.reserve(static_cast<std::size_t>(lanes));
-  for (int l = 0; l < lanes; ++l) rings_.emplace_back(options.ring_capacity);
+  FHP_REQUIRE(options.lanes >= 1, "TelemetryOptions::lanes must be >= 1");
+  rings_.reserve(static_cast<std::size_t>(options.lanes));
+  for (int l = 0; l < options.lanes; ++l) {
+    rings_.emplace_back(options.ring_capacity);
+  }
 }
 
 Telemetry::~Telemetry() { uninstall(); }
@@ -125,17 +127,7 @@ std::string timeline_from_environment() {
 }
 
 int sample_ms_from_environment(int fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read once at sampler
-  // setup, before any worker threads exist; nothing calls setenv.
-  const char* raw = std::getenv(kSampleMsEnvVar);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < 1) {
-    throw ConfigError(std::string(kSampleMsEnvVar) + "='" + raw +
-                      "': expected a positive sampler cadence in ms");
-  }
-  return static_cast<int>(value);
+  return positive_int_from_env(kSampleMsEnvVar, fallback);
 }
 
 void declare_runtime_params(RuntimeParams& params) {

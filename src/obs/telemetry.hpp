@@ -9,9 +9,10 @@
 ///
 /// One Telemetry at a time may be *installed* as the ambient span sink.
 /// The sink slot itself lives one layer down, in support/trace.hpp —
-/// FHP_TRACE_SPAN and the SpanScope that physics kernels use consult the
-/// support-layer facade, so mesh/hydro/sim never include this module
-/// (the module DAG puts obs on top; tools/fhp_analyze.py enforces it).
+/// FHP_TRACE_SPAN and the trace::SpanScope that physics kernels use
+/// consult the support-layer facade, so mesh/hydro/sim never include this
+/// module (the module DAG puts obs on top; tools/fhp_analyze.py enforces
+/// it).
 /// Telemetry is the facade's in-tree trace::Sink implementation. The
 /// disabled path is the design's contract: with nothing installed a span
 /// scope is one relaxed atomic load and a branch — no clock read, no
@@ -65,9 +66,10 @@ extern std::atomic<Telemetry*> g_current;
 struct TelemetryOptions {
   /// Span records retained per lane before oldest-dropped kicks in.
   std::size_t ring_capacity = std::size_t{1} << 14;
-  /// Lane rings to allocate; 0 means par::threads() at construction.
-  /// Spans from lanes beyond this count are counted, not stored.
-  int lanes = 0;
+  /// Lane rings to allocate (>= 1, else ConfigError); size it to the
+  /// traced runtime's `lanes()`. Spans from lanes beyond this count are
+  /// counted, not stored.
+  int lanes = 1;
   /// Timestamp source in nanoseconds; null = steady_clock. Injectable so
   /// tests drive deterministic timelines.
   std::function<std::uint64_t()> clock;
@@ -94,8 +96,7 @@ class Telemetry final : public trace::Sink {
   /// interleaved runtimes keep separate timelines. Any number of
   /// runtimes may each carry their own Telemetry this way (the ambient
   /// slot stays free). Size `TelemetryOptions::lanes` to the runtime's
-  /// lane count — the 0 default sizes for `par::threads()`, which only
-  /// matches the process runtime. Throws fhp::ConfigError if \p runtime
+  /// lane count. Throws fhp::ConfigError if \p runtime
   /// already has a sink. The runtime must outlive this Telemetry (or
   /// uninstall() first).
   void install(rt::Runtime& runtime) FHP_EXCLUDES_REGION;
@@ -176,10 +177,6 @@ class Telemetry final : public trace::Sink {
   rt::Runtime* runtime_ = nullptr;  ///< per-runtime install target
 };
 
-/// Compat alias: the RAII span scope moved to support/trace.hpp with the
-/// FHP_TRACE_SPAN macro (kernels below the obs layer use it from there).
-using SpanScope = ::fhp::trace::SpanScope;
-
 /// Environment variable naming the timeline output path ("" = disabled).
 inline constexpr const char* kTimelineEnvVar = "FLASHHP_TELEMETRY";
 /// Environment variable overriding the sampler cadence in milliseconds.
@@ -189,7 +186,7 @@ inline constexpr const char* kSampleMsEnvVar = "FLASHHP_SAMPLE_MS";
 [[nodiscard]] std::string timeline_from_environment();
 
 /// FLASHHP_SAMPLE_MS as a positive integer; \p fallback when unset.
-/// Throws fhp::ConfigError on a non-positive or non-numeric value.
+/// Throws fhp::ConfigError unless it is an integer in [1, INT_MAX].
 [[nodiscard]] int sample_ms_from_environment(int fallback);
 
 /// Registers `obs.timeline` (default: FLASHHP_TELEMETRY) and

@@ -2,12 +2,10 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,22 +22,6 @@ int clamp_lanes(int n) {
   if (n < 1) return 1;
   if (n > kMaxLanes) return kMaxLanes;
   return n;
-}
-
-/// Configured process lane count; -1 means "not yet resolved from
-/// environment".
-std::atomic<int> g_threads{-1};
-
-int resolved_threads() {
-  int current = g_threads.load(std::memory_order_acquire);
-  if (current > 0) return current;
-  const int from_env = threads_from_environment(1);
-  int expected = -1;
-  if (g_threads.compare_exchange_strong(expected, from_env,
-                                        std::memory_order_acq_rel)) {
-    return from_env;
-  }
-  return expected;
 }
 
 /// Pooled-region participation depth of the calling thread. Incremented
@@ -239,57 +221,34 @@ class ThreadPool {
 }  // namespace detail
 
 int threads_from_environment(int fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read once before the pool
-  // spins up its first worker; nothing in-process calls setenv.
-  const char* raw = std::getenv(kThreadsEnvVar);
-  if (raw == nullptr || *raw == '\0') return clamp_lanes(fallback);
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < 1) {
-    throw ConfigError(std::string(kThreadsEnvVar) + "='" + raw +
-                      "': expected a positive integer thread count");
-  }
-  return clamp_lanes(static_cast<int>(value));
-}
-
-int threads() { return resolved_threads(); }
-
-void set_threads(int n) {
-  g_threads.store(clamp_lanes(n), std::memory_order_release);
+  return clamp_lanes(positive_int_from_env(kThreadsEnvVar, fallback));
 }
 
 bool region_active() noexcept { return t_region_depth > 0; }
 
 void declare_runtime_params(RuntimeParams& params) {
-  params.declare_int("par.threads", threads(),
+  params.declare_int("par.threads", threads_from_environment(1),
                      "worker lanes for block-parallel sweeps "
                      "(FLASHHP_THREADS)");
 }
 
-void apply_runtime_params(const RuntimeParams& params) {
-  set_threads(static_cast<int>(params.get_int("par.threads")));
+int runtime_lanes(const RuntimeParams& params) {
+  return clamp_lanes(int_in_range(params.get_int("par.threads"),
+                                  "par.threads", 1));
 }
 
 ExecArena::ExecArena(int lanes)
-    : lanes_(lanes == 0 ? resolved_threads() : clamp_lanes(lanes)) {}
-
-ExecArena::ExecArena(ProcessTag)
-    : track_process_threads_(true), lanes_(1) {}
+    : lanes_(lanes == 0 ? threads_from_environment(1) : clamp_lanes(lanes)) {}
 
 ExecArena::~ExecArena() = default;
 
 int ExecArena::lanes() const noexcept {
-  if (track_process_threads_) return resolved_threads();
   return lanes_.load(std::memory_order_acquire);
 }
 
 void ExecArena::set_lanes(int n) {
   const int lanes = clamp_lanes(n);
-  if (track_process_threads_) {
-    set_threads(lanes);
-  } else {
-    lanes_.store(lanes, std::memory_order_release);
-  }
+  lanes_.store(lanes, std::memory_order_release);
   std::lock_guard<std::mutex> lock(lease_mutex_);
   // Drop our reference to a stale pool now; a region in flight keeps its
   // own lease, so the workers join only when that region finishes.
@@ -298,10 +257,6 @@ void ExecArena::set_lanes(int n) {
 
 void ExecArena::set_lane_env(const LaneEnv* env) noexcept {
   env_.store(env, std::memory_order_release);
-}
-
-const LaneEnv* ExecArena::lane_env() const noexcept {
-  return env_.load(std::memory_order_acquire);
 }
 
 std::shared_ptr<detail::ThreadPool> ExecArena::acquire_pool() {
@@ -350,28 +305,5 @@ void ExecArena::run_region(const std::function<void(int lane)>& body) {
   lease->run(static_cast<std::size_t>(lanes),
              [&body](int lane, std::size_t /*i*/) { body(lane); }, env);
 }
-
-ExecArena& process_arena() {
-  static ExecArena arena{ExecArena::ProcessTag{}};
-  return arena;
-}
-
-void parallel_for(std::size_t n,
-                  const std::function<void(int lane, std::size_t i)>& fn) {
-  process_arena().parallel_for(n, fn);
-}
-
-void parallel_for_blocks(std::span<const int> blocks,
-                         const std::function<void(int lane, int block)>& fn) {
-  process_arena().parallel_for_blocks(blocks, fn);
-}
-
-namespace detail {
-
-void run_region(const std::function<void(int lane)>& body) {
-  process_arena().run_region(body);
-}
-
-}  // namespace detail
 
 }  // namespace fhp::par

@@ -1,6 +1,5 @@
 /// \file parallel.hpp
-/// \brief Block-sweep worker pool: `fhp::par::ExecArena` and the
-///        `parallel_for_blocks` family.
+/// \brief Block-sweep worker pool: `fhp::par::ExecArena`.
 ///
 /// The paper's workloads are leaf-block sweeps over `unk` in which each
 /// block touches only its own storage (interior plus pre-filled guard
@@ -8,36 +7,27 @@
 /// provides a small persistent worker pool with two execution models on
 /// top of it:
 ///
-///   - `parallel_for` / `parallel_for_blocks`: one barrier-synchronized
-///     stage with *static chunking* — lane `i` of `L` processes the
-///     contiguous index range `[i*n/L, (i+1)*n/L)`. Static chunking is
-///     deliberate: the partition depends only on `(n, L)`, never on
-///     timing, which is one half of the bit-identical-across-thread-counts
-///     guarantee (the other half is that parallelized loops write only
-///     per-block data; see DESIGN.md "Threading model"). These survive as
-///     thin shims over the degenerate single-stage dependency graph —
-///     every task ready at entry, no steals possible between chunks — so
-///     existing call sites keep their exact lane-to-index map.
+///   - `ExecArena::parallel_for` / `parallel_for_blocks`: one
+///     barrier-synchronized stage with *static chunking* — lane `i` of
+///     `L` processes the contiguous index range `[i*n/L, (i+1)*n/L)`.
+///     Static chunking is deliberate: the partition depends only on
+///     `(n, L)`, never on timing, which is one half of the
+///     bit-identical-across-thread-counts guarantee (the other half is
+///     that parallelized loops write only per-block data; see DESIGN.md
+///     "Threading model").
 ///   - `par::TaskGraph` (task_graph.hpp): per-block tasks with explicit
 ///     dependencies, executed by the same lanes with work-stealing
 ///     deques. This is what the fused driver timestep uses to overlap
 ///     guard-fill, sweeps, flux fixups and EOS updates.
 ///
-/// Execution arenas. The pool, its region guard, and the lane-count
-/// configuration are per-`ExecArena`, not per-process: each rt::Runtime
-/// owns an arena, so two runtimes can run regions concurrently without
-/// tripping each other's nested-region `ConfigError`. The legacy free
-/// functions (`parallel_for`, `parallel_for_blocks`,
-/// `detail::run_region`) are shims over the *process arena* — the one
-/// arena whose lane count tracks `threads()` — and behave exactly as
-/// they always did.
-///
-/// Thread count resolution order for the process arena (highest wins):
-///   1. `set_threads()` / the `par.threads` runtime parameter,
-///   2. the `FLASHHP_THREADS` environment variable,
-///   3. the serial default of 1.
-/// A private arena instead pins its lane count at construction (0 =
-/// "resolve like the process arena, once, now") until `set_lanes()`.
+/// Execution arenas. The pool, its region guard, and the lane count are
+/// per-`ExecArena`; there is no process arena. Each rt::Runtime owns an
+/// arena, so two runtimes can run regions concurrently without tripping
+/// each other's nested-region `ConfigError`. An arena pins its lane count
+/// at construction (0 = the `FLASHHP_THREADS` environment variable, else
+/// 1, read once, then) until `set_lanes()`. Mains that take the
+/// `par.threads` runtime parameter pass `runtime_lanes(params)` as the
+/// lane count of the runtime they build.
 ///
 /// With one lane every entry point degenerates to a plain serial loop on
 /// the calling thread — no pool is created, no locks are taken — so
@@ -82,18 +72,9 @@ inline constexpr const char* kThreadsEnvVar = "FLASHHP_THREADS";
 inline constexpr int kMaxLanes = ::fhp::kMaxLanes;
 
 /// Parses `FLASHHP_THREADS`; returns `fallback` when unset. Throws
-/// `fhp::ConfigError` when set to a non-positive or non-numeric value.
+/// `fhp::ConfigError` when the value is not an integer in `[1, INT_MAX]`.
 /// Values above `kMaxLanes` are clamped.
 [[nodiscard]] int threads_from_environment(int fallback = 1);
-
-/// The process arena's configured lane count (>= 1). Initialized lazily
-/// from `FLASHHP_THREADS` on first use unless `set_threads` ran earlier.
-[[nodiscard]] int threads();
-
-/// Sets the process arena's lane count for subsequent parallel regions.
-/// Clamped to `[1, kMaxLanes]`. Setup-time only with respect to the
-/// process arena's own regions; private arenas are unaffected.
-void set_threads(int n);
 
 /// Lane of the calling thread: 0 for the caller (and for all serial
 /// code), `1..lanes-1` inside pool workers during a region.
@@ -109,12 +90,14 @@ void set_threads(int n);
 /// runtime B being mid-region on another thread.
 [[nodiscard]] bool region_active() noexcept;
 
-/// Registers the `par.threads` runtime parameter (default: current
-/// `threads()` resolution, i.e. env-aware).
+/// Registers the `par.threads` runtime parameter (default:
+/// `threads_from_environment(1)`).
 void declare_runtime_params(RuntimeParams& params);
 
-/// Applies `par.threads` from `params` via `set_threads`.
-void apply_runtime_params(const RuntimeParams& params);
+/// The `par.threads` value of \p params as a lane count for
+/// `rt::RuntimeOptions::lanes`: ConfigError outside `[1, INT_MAX]`,
+/// clamped to `kMaxLanes`.
+[[nodiscard]] int runtime_lanes(const RuntimeParams& params);
 
 /// Per-lane ambient environment an arena applies on every participating
 /// thread (caller lane 0 and each pool worker) for the duration of a
@@ -134,39 +117,34 @@ class ThreadPool;
 }  // namespace detail
 
 /// One execution arena: a lane pool lease plus its own single-region
-/// guard. All entry points run `fn` with the same static chunking as the
-/// free functions, so results are bit-identical for a given lane count
-/// regardless of which arena runs them. Construction is cheap (the pool
+/// guard. Every arena uses the same static chunking, so results are
+/// bit-identical for a given lane count regardless of which arena runs
+/// them. Construction is cheap (the pool
 /// itself spins up lazily at the first multi-lane region). Regions on
 /// *one* arena must not be nested or issued concurrently from two
 /// threads (ConfigError, and a `-Wthread-safety` error first); regions
 /// on *different* arenas may run concurrently.
 class ExecArena {
  public:
-  /// \param lanes fixed lane count for this arena; 0 = resolve the
-  ///        process thread-count order (set_threads / FLASHHP_THREADS /
-  ///        1) once, now. Clamped to [1, kMaxLanes].
+  /// \param lanes fixed lane count for this arena; 0 = FLASHHP_THREADS,
+  ///        else 1, read once, now. Clamped to [1, kMaxLanes].
   explicit ExecArena(int lanes = 0);
   ~ExecArena();
   ExecArena(const ExecArena&) = delete;
   ExecArena& operator=(const ExecArena&) = delete;
 
-  /// Lane count the next region will use. (The process arena re-resolves
-  /// `threads()` here, which is what keeps the legacy free functions
-  /// responsive to `set_threads`.)
+  /// Lane count the next region will use.
   [[nodiscard]] int lanes() const noexcept;
 
   /// Reconfigures the lane count for subsequent regions. A region in
   /// flight on another thread keeps its leased pool until it finishes;
-  /// its workers join when the last lease drops. On the process arena
-  /// this forwards to `set_threads`.
+  /// its workers join when the last lease drops.
   void set_lanes(int n);
 
   /// Installs the per-lane environment applied by every subsequent
   /// region (null = none). Setup-time: the pointee must outlive its use;
   /// rt::Runtime points this at a member of itself.
   void set_lane_env(const LaneEnv* env) noexcept;
-  [[nodiscard]] const LaneEnv* lane_env() const noexcept;
 
   /// Runs `fn(lane, i)` for every `i` in `[0, n)`, statically chunked
   /// across `lanes()` lanes. Blocks until all lanes finish. The first
@@ -193,16 +171,9 @@ class ExecArena {
       FHP_EXCLUDES_REGION;
 
  private:
-  struct ProcessTag {};
-  explicit ExecArena(ProcessTag);
-  friend ExecArena& process_arena();
-
   /// Leases the pool sized for the current lane count, rebuilding it if
   /// the count changed since the last region. Null when serial.
   [[nodiscard]] std::shared_ptr<detail::ThreadPool> acquire_pool();
-
-  /// True for the one process arena: lanes() tracks threads().
-  const bool track_process_threads_ = false;
 
   mutable std::mutex lease_mutex_;
   std::shared_ptr<detail::ThreadPool> pool_;  // guarded by lease_mutex_
@@ -210,31 +181,5 @@ class ExecArena {
   std::atomic<bool> active_{false};
   std::atomic<const LaneEnv*> env_{nullptr};
 };
-
-/// The process arena: the one arena behind the legacy free functions and
-/// `rt::Runtime::process_default()`. Its lane count tracks `threads()`.
-[[nodiscard]] ExecArena& process_arena();
-
-/// Shim for `process_arena().parallel_for(n, fn)`, kept so existing call
-/// sites (and code genuinely outside any runtime) keep working. New code
-/// should run on an explicit arena — usually `runtime.arena()` or the
-/// owning mesh's `AmrMesh::arena()`.
-void parallel_for(std::size_t n,
-                  const std::function<void(int lane, std::size_t i)>& fn)
-    FHP_EXCLUDES_REGION;
-
-/// Shim for `process_arena().parallel_for_blocks(blocks, fn)`.
-void parallel_for_blocks(std::span<const int> blocks,
-                         const std::function<void(int lane, int block)>& fn)
-    FHP_EXCLUDES_REGION;
-
-namespace detail {
-
-/// Shim for `process_arena().run_region(body)` (see ExecArena::run_region
-/// for the contract).
-void run_region(const std::function<void(int lane)>& body)
-    FHP_EXCLUDES_REGION;
-
-}  // namespace detail
 
 }  // namespace fhp::par

@@ -19,9 +19,10 @@
 ///   - a par::ExecArena — its own lane pool lease and region guard, so
 ///     concurrent runtimes never trip each other's nested-region
 ///     ConfigError,
-///   - the resolved mesh::LayoutKind / mem::HugePolicy configuration
-///     snapshot (explicit override, else the process resolution order:
-///     runtime params / environment / built-in default),
+///   - the resolved mesh::LayoutKind / mem::HugePolicy configuration,
+///     fixed at construction (explicit override, else the process
+///     resolution order: runtime params / environment / built-in
+///     default, read once),
 ///   - the trace sink and log tag its driver thread and pool lanes bind
 ///     while working (see trace::SinkBinding and fhp::LogTagScope).
 ///
@@ -30,13 +31,9 @@
 /// by their log tag), signal/environment state, and the runtime-params
 /// registry. See DESIGN.md "Runtime context model".
 ///
-/// `Runtime::process_default()` is the compatibility tenant: it wraps
-/// the historical process singletons (global PerfContext, global page
-/// pool, the process arena whose lane count tracks par::threads(), the
-/// dynamically re-resolved default layout/policy) and reproduces the
-/// pre-Runtime behavior bit-for-bit. Its implementation file is the one
-/// place allowed to call those singleton accessors — the lint rule
-/// `singleton-instance` bans new call sites everywhere else.
+/// A Runtime is the only execution context: there is no process-wide
+/// PerfContext, page pool, arena or lane count to fall back on, and the
+/// lint rule `singleton-instance` keeps it that way.
 
 #pragma once
 
@@ -54,14 +51,14 @@
 
 namespace fhp::rt {
 
-/// Construction-time configuration for a Runtime. Everything defaults
-/// to "resolve like the process would": 0 lanes = the par thread-count
-/// resolution order, nullopt layout/policy = the mesh/mem resolution
-/// orders, null pool = a private pool auto-initialized from the
-/// environment on first allocation.
+/// Construction-time configuration for a Runtime. Every default is
+/// resolved once, at construction: 0 lanes = FLASHHP_THREADS, else 1;
+/// nullopt layout/policy = the mesh/mem resolution orders; null pool = a
+/// private pool auto-initialized from the environment on first
+/// allocation.
 struct RuntimeOptions {
-  /// Lane count for this runtime's ExecArena; 0 = resolve
-  /// set_threads / FLASHHP_THREADS / 1, once, at construction.
+  /// Lane count for this runtime's ExecArena; 0 = FLASHHP_THREADS,
+  /// else 1, read once at construction.
   int lanes = 0;
   /// Block-data layout; nullopt = snapshot the process resolution order
   /// (set_default_layout / FLASHHP_LAYOUT / var_major) at construction.
@@ -86,15 +83,8 @@ struct RuntimeOptions {
 class Runtime {
  public:
   explicit Runtime(RuntimeOptions options = {});
-  ~Runtime();
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
-
-  /// The compatibility tenant wrapping the historical process
-  /// singletons; reproduces pre-Runtime behavior bit-for-bit (its
-  /// layout/policy re-resolve dynamically instead of snapshotting, and
-  /// its arena lane count tracks par::threads()).
-  [[nodiscard]] static Runtime& process_default();
 
   /// This runtime's performance counters and region registry.
   [[nodiscard]] perf::PerfContext& perf() const noexcept { return *perf_; }
@@ -105,16 +95,16 @@ class Runtime {
   /// The execution arena this runtime's parallel regions run on.
   [[nodiscard]] par::ExecArena& arena() const noexcept { return *arena_; }
 
-  /// Lane count of the arena (process_default: tracks par::threads()).
-  [[nodiscard]] int lanes() const noexcept;
+  /// Lane count of the arena.
+  [[nodiscard]] int lanes() const noexcept { return arena_->lanes(); }
 
-  /// The resolved block-data layout (process_default: re-resolved on
-  /// every call, like the old `mesh::default_layout()` defaults).
-  [[nodiscard]] mesh::LayoutKind layout() const;
+  /// The block-data layout resolved at construction.
+  [[nodiscard]] mesh::LayoutKind layout() const noexcept { return layout_; }
 
-  /// The resolved huge-page policy (process_default: re-resolved on
-  /// every call).
-  [[nodiscard]] mem::HugePolicy huge_policy() const;
+  /// The huge-page policy resolved at construction.
+  [[nodiscard]] mem::HugePolicy huge_policy() const noexcept {
+    return policy_;
+  }
 
   /// Install (or clear, with null) the sink receiving this runtime's
   /// spans and step marks. Setup-time, driver thread, outside evolve():
@@ -146,21 +136,15 @@ class Runtime {
   };
 
  private:
-  struct ProcessTag {};
-  explicit Runtime(ProcessTag);
-
-  // Owned service (null when wrapping a shared/global one) + the active
-  // handle, which is never null after construction.
-  std::unique_ptr<perf::PerfContext> owned_perf_;
-  perf::PerfContext* perf_ = nullptr;
+  std::unique_ptr<perf::PerfContext> perf_;
+  /// Null when RuntimeOptions::pool injected a shared pool.
   std::unique_ptr<mem::PagePool> owned_pool_;
+  /// The active pool: owned_pool_ or the injected one; never null.
   mem::PagePool* pool_ = nullptr;
-  std::unique_ptr<par::ExecArena> owned_arena_;
-  par::ExecArena* arena_ = nullptr;
+  std::unique_ptr<par::ExecArena> arena_;
 
-  /// nullopt only on process_default: resolve dynamically.
-  std::optional<mesh::LayoutKind> layout_;
-  std::optional<mem::HugePolicy> policy_;
+  mesh::LayoutKind layout_;
+  mem::HugePolicy policy_;
 
   std::string log_tag_;
   /// The per-lane environment the arena applies during regions; points

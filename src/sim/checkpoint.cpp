@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #include "support/error.hpp"
@@ -147,21 +148,42 @@ CheckpointInfo read_checkpoint(const std::string& path,
   read_pod(in, info.sim_time);
   std::int64_t step = 0;
   read_pod(in, step);
+  FHP_REQUIRE(in && step >= 0 && step <= std::numeric_limits<int>::max(),
+              "corrupt checkpoint step count");
   info.step = static_cast<int>(step);
 
+  // Every count and coordinate below is untrusted input: bound it before
+  // it sizes an allocation or a shift.
+  const mesh::MeshConfig& c = mesh.config();
   std::int64_t nleaves = 0;
   read_pod(in, nleaves);
-  FHP_REQUIRE(in && nleaves > 0, "corrupt checkpoint leaf count");
+  FHP_REQUIRE(in && nleaves > 0 && nleaves <= c.maxblocks,
+              "corrupt checkpoint leaf count");
 
-  const mesh::MeshConfig& c = mesh.config();
   const int nroots = c.nroot[0] * c.nroot[1] * (c.ndim >= 3 ? c.nroot[2] : 1);
   FHP_REQUIRE(mesh.tree().num_allocated() == nroots,
               "read_checkpoint needs a freshly constructed mesh");
 
-  // Rebuild the topology: leaves arrive coarse-to-fine, so every leaf's
-  // parent chain can be materialized by refining the covering block.
   std::vector<LeafRecord> records(static_cast<std::size_t>(nleaves));
   for (auto& rec : records) read_pod(in, rec);
+  FHP_REQUIRE(static_cast<bool>(in), "checkpoint '" + path + "' truncated");
+  // Levels deeper than 32 cannot be addressed by int32 coordinates (and
+  // would make the cover shifts below undefined).
+  const int max_level = std::min(c.max_level, 32);
+  for (const LeafRecord& rec : records) {
+    FHP_REQUIRE(rec.level >= 1 && rec.level <= max_level,
+                "checkpoint leaf level outside [1, max_level]");
+    for (int d = 0; d < 3; ++d) {
+      const auto dd = static_cast<std::size_t>(d);
+      const std::int64_t extent =
+          d < c.ndim ? std::int64_t{c.nroot[dd]} << (rec.level - 1) : 1;
+      FHP_REQUIRE(rec.coord[d] >= 0 && rec.coord[d] < extent,
+                  "checkpoint leaf coordinate outside its level's range");
+    }
+  }
+
+  // Rebuild the topology: leaves arrive coarse-to-fine, so every leaf's
+  // parent chain can be materialized by refining the covering block.
   for (const LeafRecord& rec : records) {
     for (int level = 1; level < rec.level; ++level) {
       const int shift = rec.level - level;

@@ -6,10 +6,21 @@
 #include "perf/perf_context.hpp"
 #include "perf/region.hpp"
 #include "rt/runtime.hpp"
+#include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/trace.hpp"
 
 namespace fhp::sim {
+
+namespace {
+
+rt::Runtime& required_runtime(const DriverUnits& units) {
+  FHP_REQUIRE(units.runtime != nullptr,
+              "Driver needs an execution context (DriverUnits::runtime)");
+  return *units.runtime;
+}
+
+}  // namespace
 
 Driver::Driver(mesh::AmrMesh& mesh, hydro::HydroSolver& hydro,
                perf::Timers& timers, DriverOptions options, DriverUnits units)
@@ -18,8 +29,7 @@ Driver::Driver(mesh::AmrMesh& mesh, hydro::HydroSolver& hydro,
       timers_(timers),
       options_(std::move(options)),
       units_(std::move(units)),
-      runtime_(units_.runtime != nullptr ? *units_.runtime
-                                         : rt::Runtime::process_default()),
+      runtime_(required_runtime(units_)),
       perf_(units_.perf != nullptr ? *units_.perf : runtime_.perf()) {
   if (options_.refine_vars.empty()) {
     options_.refine_vars = {mesh::var::kDens, mesh::var::kPres};

@@ -70,21 +70,19 @@ using EosTraceFn = std::function<void(tlb::Tracer&, int block)>;
 /// driver is fully wired the moment it exists (this replaced the old
 /// post-construction `set_flame`/`set_gravity`/`set_machine`/
 /// `set_eos_trace` mutators, which allowed half-wired drivers to run).
-/// All pointers are non-owning and may be null.
+/// All pointers are non-owning and, except `runtime`, may be null.
 ///
-/// `runtime` is the context this driver executes in: null means
-/// `rt::Runtime::process_default()`, which reproduces the historical
-/// process-singleton behavior bit-for-bit. A setup built on an explicit
-/// runtime passes it here (and should already have built its mesh from
-/// `runtime.page_pool()` / `&runtime.arena()` — the setup classes do
-/// both). Null `perf` means the runtime's PerfContext.
+/// `runtime` is the context this driver executes in and must be set
+/// (the Driver throws ConfigError otherwise). The mesh should already be
+/// built from `runtime.page_pool()` / `&runtime.arena()` — the setup
+/// classes do both. Null `perf` means the runtime's PerfContext.
 struct DriverUnits {
   flame::AdrFlame* flame = nullptr;          ///< operator-split burning
   gravity::MonopoleGravity* gravity = nullptr;  ///< monopole gravity
   tlb::Machine* machine = nullptr;  ///< machine model (enables tracing)
   EosTraceFn eos_trace;             ///< per-block EOS replay hook
   perf::PerfContext* perf = nullptr;  ///< context PerfRegions commit into
-  rt::Runtime* runtime = nullptr;   ///< execution context (null = process)
+  rt::Runtime* runtime = nullptr;   ///< execution context (required)
   // Span tracing needs no wiring beyond the runtime: the driver binds
   // the runtime's trace sink around each step (the ambient
   // support/trace.hpp facade remains the fallback when the runtime has
@@ -96,8 +94,7 @@ struct DriverUnits {
 class Driver {
  public:
   Driver(mesh::AmrMesh& mesh, hydro::HydroSolver& hydro,
-         perf::Timers& timers, DriverOptions options,
-         DriverUnits units = {});
+         perf::Timers& timers, DriverOptions options, DriverUnits units);
 
   /// Run the evolution loop (step_once until the budgets are spent).
   void evolve();

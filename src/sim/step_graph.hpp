@@ -92,8 +92,8 @@ class StepGraph {
   std::vector<int> leaves_;  ///< leaves_morton captured at rebuild
   /// Both graphs schedule on the mesh's arena, so a task-mode step
   /// claims its own runtime's region slot (not the process one).
-  par::TaskGraph forward_{&mesh_.arena()};   ///< sweep order 0..ndim-1
-  par::TaskGraph backward_{&mesh_.arena()};  ///< sweep order ndim-1..0
+  par::TaskGraph forward_{mesh_.arena()};   ///< sweep order 0..ndim-1
+  par::TaskGraph backward_{mesh_.arena()};  ///< sweep order ndim-1..0
   par::TaskGraph::Stats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "support/runtime_params.hpp"
 
+#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -284,6 +285,28 @@ std::vector<std::string> RuntimeParams::names() const {
   out.reserve(entries_.size());
   for (const auto& [name, e] : entries_) out.push_back(name);
   return out;
+}
+
+int int_in_range(long long value, std::string_view source, int lo, int hi) {
+  if (value < lo || value > hi) {
+    throw ConfigError(std::string(source) + "=" + std::to_string(value) +
+                      ": expected an integer in [" + std::to_string(lo) +
+                      ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<int>(value);
+}
+
+int positive_int_from_env(const char* var, int fallback) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read at setup, before any
+  // worker threads exist; nothing in-process calls setenv.
+  const char* raw = std::getenv(var);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  const std::optional<long long> value = parse_int(raw);
+  if (!value) {
+    throw ConfigError(std::string(var) + "='" + raw +
+                      "': expected a positive integer");
+  }
+  return int_in_range(*value, var, 1);
 }
 
 }  // namespace fhp

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -86,5 +87,17 @@ class RuntimeParams {
 
   std::map<std::string, Entry> entries_;  // key: lower-cased name
 };
+
+/// Narrows \p value, read from \p source (an environment variable or a
+/// runtime-parameter name, quoted in the message), to int. Throws
+/// ConfigError unless `lo <= value <= hi`, so an out-of-range setting is
+/// refused instead of wrapping.
+[[nodiscard]] int int_in_range(long long value, std::string_view source,
+                               int lo,
+                               int hi = std::numeric_limits<int>::max());
+
+/// Reads the environment variable \p var as an integer in `[1, INT_MAX]`:
+/// \p fallback when unset or empty, ConfigError for anything else.
+[[nodiscard]] int positive_int_from_env(const char* var, int fallback);
 
 }  // namespace fhp

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -41,20 +40,6 @@ std::atomic<int> g_param_lanes{0};
 std::atomic<int> g_param_queue{0};
 std::atomic<int> g_param_max_tenants{0};
 std::atomic<int> g_param_quantum{0};
-
-int env_positive_int(const char* var, int fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read at service construction;
-  // nothing in-process calls setenv.
-  const char* raw = std::getenv(var);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < 1) {
-    throw ConfigError(std::string(var) + "='" + raw +
-                      "': expected a positive integer");
-  }
-  return static_cast<int>(value);
-}
 
 PoolSummary counter_delta(const mem::PoolCounters& before,
                           const mem::PoolCounters& after) {
@@ -193,8 +178,9 @@ std::vector<double> canonical_state(const mesh::AmrMesh& mesh,
 
 int resolve_service_lanes() {
   const int param = g_param_lanes.load(std::memory_order_acquire);
-  if (param > 0) return param;
-  return env_positive_int(kSvcLanesEnvVar, 2);
+  if (param > 0) return int_in_range(param, "svc.lanes", 1, par::kMaxLanes);
+  return int_in_range(positive_int_from_env(kSvcLanesEnvVar, 2),
+                      kSvcLanesEnvVar, 1, par::kMaxLanes);
 }
 
 void declare_runtime_params(RuntimeParams& params) {
@@ -212,12 +198,8 @@ void declare_runtime_params(RuntimeParams& params) {
 
 void apply_runtime_params(const RuntimeParams& params) {
   auto apply_one = [&params](const char* name, std::atomic<int>& slot) {
-    const long long value = params.get_int(name);
-    if (value < 0) {
-      throw ConfigError(std::string(name) + "=" + std::to_string(value) +
-                        ": expected a non-negative integer");
-    }
-    slot.store(static_cast<int>(value), std::memory_order_release);
+    slot.store(int_in_range(params.get_int(name), name, 0),
+               std::memory_order_release);
   };
   apply_one("svc.lanes", g_param_lanes);
   apply_one("svc.queue", g_param_queue);
@@ -525,8 +507,11 @@ Service::Service(ServiceOptions options) : impl_(std::make_unique<Impl>()) {
     const int p = param.load(std::memory_order_acquire);
     return p > 0 ? p : fallback;
   };
-  impl_->workers_n = options.workers > 0 ? options.workers
-                                         : resolve_service_lanes();
+  impl_->workers_n =
+      options.workers > 0
+          ? int_in_range(options.workers, "ServiceOptions::workers", 1,
+                         par::kMaxLanes)
+          : resolve_service_lanes();
   impl_->queue_capacity = resolve(options.queue_capacity, g_param_queue, 16);
   impl_->max_tenants = resolve(options.max_tenants, g_param_max_tenants, 8);
   impl_->quantum = resolve(options.quantum_steps, g_param_quantum, 4);

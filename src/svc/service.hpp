@@ -56,8 +56,9 @@ inline constexpr const char* kSvcLanesEnvVar = "FLASHHP_SVC_LANES";
 
 /// Construction-time configuration.
 struct ServiceOptions {
-  /// Worker threads stepping tenants. 0 = resolve the "svc.lanes"
-  /// runtime param / FLASHHP_SVC_LANES / 2, at construction.
+  /// Worker threads stepping tenants, at most par::kMaxLanes (else
+  /// ConfigError). 0 = resolve the "svc.lanes" runtime param /
+  /// FLASHHP_SVC_LANES / 2, at construction.
   int workers = 0;
   /// Pending-queue bound: jobs admitted but not yet finished beyond the
   /// ones holding tenants. submit() rejects kQueueFull at capacity.
@@ -162,7 +163,7 @@ class Service {
 
 /// Resolve the default worker count: "svc.lanes" runtime param if
 /// applied, else FLASHHP_SVC_LANES, else 2. Throws fhp::ConfigError on
-/// junk values.
+/// junk values and on counts above par::kMaxLanes.
 [[nodiscard]] int resolve_service_lanes();
 
 /// Declare "svc.lanes", "svc.queue", "svc.max_tenants", "svc.quantum".

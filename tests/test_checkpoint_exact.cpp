@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "eos/gamma_eos.hpp"
 #include "hydro/hydro.hpp"
@@ -17,10 +22,9 @@
 namespace fhp::sim {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise checkpoint round-trips, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
+// Each test builds its own rt::Runtime: these tests exercise checkpoint
+// round-trips, not multi-tenancy (tests/test_runtime.cpp covers runtimes
+// side by side).
 
 using mesh::var::kDens;
 using mesh::var::kEner;
@@ -108,8 +112,10 @@ void paint(mesh::AmrMesh& m) {
 }
 
 TEST(CheckpointTest, RoundTripRestoresTopologyAndData) {
+  rt::Runtime runtime;
   mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone,
-                         proc().layout(), proc().page_pool());
+                         runtime.layout(), runtime.page_pool(),
+                         &runtime.arena());
   // A non-trivial tree: refine block 0, then one of its children.
   original.refine_block(0);
   original.refine_block(original.tree().find(2, {0, 0, 0}));
@@ -119,7 +125,8 @@ TEST(CheckpointTest, RoundTripRestoresTopologyAndData) {
   write_checkpoint("ckpt_roundtrip.bin", original, {0.125, 42});
 
   mesh::AmrMesh restored(ckpt_config(), mem::HugePolicy::kNone,
-                         proc().layout(), proc().page_pool());
+                         runtime.layout(), runtime.page_pool(),
+                         &runtime.arena());
   const CheckpointInfo info =
       read_checkpoint("ckpt_roundtrip.bin", restored);
   EXPECT_DOUBLE_EQ(info.sim_time, 0.125);
@@ -145,13 +152,14 @@ TEST(CheckpointTest, RoundTripRestoresTopologyAndData) {
 }
 
 TEST(CheckpointTest, RestartContinuesBitExactly) {
+  rt::Runtime runtime;
   // Run A: 8 Sod-like steps straight through. Run B: 4 steps, checkpoint,
   // restore into a fresh mesh, 4 more. The results must agree bit for bit
   // (this is FLASH's restart guarantee).
-  auto build = []() {
+  auto build = [&runtime]() {
     auto m = std::make_unique<mesh::AmrMesh>(
-        ckpt_config(), mem::HugePolicy::kNone, proc().layout(),
-        proc().page_pool());
+        ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
+        runtime.page_pool(), &runtime.arena());
     const mesh::MeshConfig& c = m->config();
     m->for_leaf_cells([&](int b, int i, int j, int k) {
       const double x = m->xcenter(b, i);
@@ -183,8 +191,8 @@ TEST(CheckpointTest, RestartContinuesBitExactly) {
     write_checkpoint("ckpt_restart.bin", *run_b, {4e-3, 4});
   }
   auto run_c = std::make_unique<mesh::AmrMesh>(
-      ckpt_config(), mem::HugePolicy::kNone, proc().layout(),
-      proc().page_pool());
+      ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
+      runtime.page_pool(), &runtime.arena());
   read_checkpoint("ckpt_restart.bin", *run_c);
   hydro::HydroSolver solver_c(*run_c, gamma);
   // Match run A's sweep-order phase (4 steps already taken).
@@ -203,21 +211,24 @@ TEST(CheckpointTest, RestartContinuesBitExactly) {
 }
 
 TEST(CheckpointTest, ConfigMismatchRejected) {
+  rt::Runtime runtime;
   mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone,
-                         proc().layout(), proc().page_pool());
+                         runtime.layout(), runtime.page_pool(),
+                         &runtime.arena());
   paint(original);
   write_checkpoint("ckpt_mismatch.bin", original, {});
 
   mesh::MeshConfig other = ckpt_config();
   other.nscalars = 2;  // different layout
-  mesh::AmrMesh wrong(other, mem::HugePolicy::kNone, proc().layout(),
-                      proc().page_pool());
+  mesh::AmrMesh wrong(other, mem::HugePolicy::kNone, runtime.layout(),
+                      runtime.page_pool(), &runtime.arena());
   EXPECT_THROW(read_checkpoint("ckpt_mismatch.bin", wrong), ConfigError);
 }
 
 TEST(CheckpointTest, MissingAndCorruptFilesRejected) {
-  mesh::AmrMesh m(ckpt_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), &runtime.arena());
   EXPECT_THROW(read_checkpoint("nonexistent.bin", m), SystemError);
   // A file with the wrong magic is rejected before any topology change.
   std::FILE* f = std::fopen("ckpt_garbage.bin", "wb");
@@ -227,15 +238,118 @@ TEST(CheckpointTest, MissingAndCorruptFilesRejected) {
 }
 
 TEST(CheckpointTest, RequiresAFreshMesh) {
+  rt::Runtime runtime;
   mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone,
-                         proc().layout(), proc().page_pool());
+                         runtime.layout(), runtime.page_pool(),
+                         &runtime.arena());
   paint(original);
   write_checkpoint("ckpt_fresh.bin", original, {});
 
   mesh::AmrMesh busy(ckpt_config(), mem::HugePolicy::kNone,
-                     proc().layout(), proc().page_pool());
+                     runtime.layout(), runtime.page_pool(), &runtime.arena());
   busy.refine_block(0);  // not fresh any more
   EXPECT_THROW(read_checkpoint("ckpt_fresh.bin", busy), ConfigError);
+}
+
+// ------------------------------------------- untrusted checkpoint fields
+
+/// The bytes of a checkpoint of ckpt_config() with root 0 refined once,
+/// and the offset of its leaf table: the int64 leaf count (5), then one
+/// {level, x, y, z} int32 record per leaf, coarse to fine — the
+/// unrefined root {1, 1, 0, 0} first, the four level-2 leaves after it.
+struct LeafTable {
+  std::string bytes;
+  std::size_t count_at = std::string::npos;
+
+  [[nodiscard]] std::size_t record_at(int n) const {
+    return count_at + sizeof(std::int64_t) +
+           static_cast<std::size_t>(n) * 4 * sizeof(std::int32_t);
+  }
+  template <typename T>
+  void patch(std::size_t at, T value) {
+    std::memcpy(bytes.data() + at, &value, sizeof value);
+  }
+};
+
+LeafTable leaf_table(rt::Runtime& runtime, const std::string& path) {
+  mesh::AmrMesh m(ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), &runtime.arena());
+  m.refine_block(0);
+  paint(m);
+  write_checkpoint(path, m, {});
+  std::ifstream in(path, std::ios::binary);
+  LeafTable t;
+  t.bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  const std::int64_t count = 5;
+  const std::int32_t first[4] = {1, 1, 0, 0};
+  std::string needle(sizeof count + sizeof first, '\0');
+  std::memcpy(needle.data(), &count, sizeof count);
+  std::memcpy(needle.data() + sizeof count, first, sizeof first);
+  t.count_at = t.bytes.find(needle);
+  return t;
+}
+
+/// Reading the patched bytes must throw ConfigError before the topology
+/// replay touches the fresh mesh: it keeps its two roots.
+void expect_rejected(rt::Runtime& runtime, const LeafTable& t,
+                     const std::string& path, const std::string& what) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(t.bytes.data(), static_cast<std::streamsize>(t.bytes.size()));
+  }
+  mesh::AmrMesh fresh(ckpt_config(), mem::HugePolicy::kNone,
+                      runtime.layout(), runtime.page_pool(),
+                      &runtime.arena());
+  EXPECT_THROW(read_checkpoint(path, fresh), ConfigError) << what;
+  EXPECT_EQ(fresh.tree().num_allocated(), 2) << what;
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, LeafCountOutsideMaxblocksRejected) {
+  rt::Runtime runtime;
+  const std::string path = "ckpt_bad_count.bin";
+  // ckpt_config().maxblocks is 128.
+  for (const std::int64_t count : {0, -1, 129}) {
+    LeafTable t = leaf_table(runtime, path);
+    ASSERT_NE(t.count_at, std::string::npos);
+    t.patch(t.count_at, count);
+    expect_rejected(runtime, t, path, "count " + std::to_string(count));
+  }
+}
+
+TEST(CheckpointTest, LeafLevelOutsideRangeRejected) {
+  rt::Runtime runtime;
+  const std::string path = "ckpt_bad_level.bin";
+  // ckpt_config().max_level is 3; 33 would shift an int32 by 32. The bad
+  // record is the last one, so every earlier record is valid.
+  for (const std::int32_t level : {0, -1, 4, 33}) {
+    LeafTable t = leaf_table(runtime, path);
+    ASSERT_NE(t.count_at, std::string::npos);
+    t.patch(t.record_at(4), level);
+    expect_rejected(runtime, t, path, "level " + std::to_string(level));
+  }
+}
+
+TEST(CheckpointTest, LeafCoordinateOutsideItsLevelRejected) {
+  rt::Runtime runtime;
+  const std::string path = "ckpt_bad_coord.bin";
+  // The last record is a level-2 leaf: x in [0, 4), y in [0, 2), and the
+  // 2-d mesh has z == 0 only.
+  const struct {
+    int axis;
+    std::int32_t value;
+  } cases[] = {{0, 4}, {0, -1}, {1, 2}, {2, 1}};
+  for (const auto& bad : cases) {
+    LeafTable t = leaf_table(runtime, path);
+    ASSERT_NE(t.count_at, std::string::npos);
+    t.patch(t.record_at(4) + sizeof(std::int32_t) *
+                                 static_cast<std::size_t>(1 + bad.axis),
+            bad.value);
+    expect_rejected(runtime, t, path,
+                    "axis " + std::to_string(bad.axis) + " coordinate " +
+                        std::to_string(bad.value));
+  }
 }
 
 }  // namespace

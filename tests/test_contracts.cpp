@@ -10,13 +10,20 @@
 #include <cstddef>
 #include <limits>
 
+#include "hydro/hydro.hpp"
 #include "mem/allocator.hpp"
 #include "mem/arena.hpp"
 #include "mem/mapped_region.hpp"
+#include "mem/page_pool.hpp"
 #include "mem/page_size.hpp"
+#include "mesh/amr_mesh.hpp"
 #include "mesh/config.hpp"
 #include "mesh/unk.hpp"
+#include "obs/telemetry.hpp"
+#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
+#include "sim/driver.hpp"
+#include "sim/sedov.hpp"
 #include "support/contracts.hpp"
 #include "tlb/machine.hpp"
 #include "tlb/trace.hpp"
@@ -24,10 +31,9 @@
 namespace fhp {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise API boundary contracts, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
+// Each test builds its own rt::Runtime: these tests exercise API boundary
+// contracts, not multi-tenancy (tests/test_runtime.cpp covers runtimes side by
+// side).
 
 // ------------------------------------------------------------- the macros
 
@@ -69,24 +75,29 @@ TEST(Contracts, EnabledInThisBuild) {
 // ----------------------------------------------- arena boundary contracts
 
 TEST(ArenaContracts, ZeroByteAllocationViolatesContract) {
-  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20);
+  mem::PagePool pool;
+  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20, pool);
   EXPECT_THROW(arena.allocate(0), ContractViolation);
 }
 
 TEST(ArenaContracts, NonPowerOfTwoAlignmentViolatesContract) {
-  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20);
+  mem::PagePool pool;
+  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20, pool);
   EXPECT_THROW(arena.allocate(64, 48), ContractViolation);
   EXPECT_THROW(arena.allocate(64, 0), ContractViolation);
 }
 
 TEST(ArenaContracts, UndersizedChunkQuantumViolatesContract) {
-  EXPECT_THROW(mem::Arena(mem::HugePolicy::kNone, 1024), ContractViolation);
+  mem::PagePool pool;
+  EXPECT_THROW(mem::Arena(mem::HugePolicy::kNone, 1024, pool),
+               ContractViolation);
 }
 
 // Satellite fix: count * sizeof(T) used to overflow size_t and silently
 // allocate a tiny wrapped-around buffer. The check is always on.
 TEST(ArenaContracts, AllocateArrayOverflowThrows) {
-  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20);
+  mem::PagePool pool;
+  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20, pool);
   const std::size_t huge_count =
       std::numeric_limits<std::size_t>::max() / sizeof(double) + 1;
   EXPECT_THROW(arena.allocate_array<double>(huge_count), ConfigError);
@@ -98,7 +109,8 @@ TEST(ArenaContracts, AllocateArrayOverflowThrows) {
 }
 
 TEST(ArenaContracts, HugeAllocatorOverflowThrows) {
-  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20);
+  mem::PagePool pool;
+  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20, pool);
   mem::HugeAllocator<double> alloc(arena);
   const std::size_t huge_count =
       std::numeric_limits<std::size_t>::max() / sizeof(double) + 1;
@@ -106,10 +118,11 @@ TEST(ArenaContracts, HugeAllocatorOverflowThrows) {
 }
 
 TEST(ArenaContracts, HugeBufferOverflowThrows) {
+  rt::Runtime runtime;
   const std::size_t huge_count =
       std::numeric_limits<std::size_t>::max() / sizeof(double) + 1;
   EXPECT_THROW(mem::HugeBuffer<double>(huge_count, mem::HugePolicy::kNone,
-                                       proc().page_pool()),
+                                       runtime.page_pool()),
                ConfigError);
 }
 
@@ -153,8 +166,8 @@ class UnkSweepContracts : public ::testing::Test {
   UnkSweepContracts()
       : machine_(),
         tracer_(&machine_),
-        unk_(config(), mem::HugePolicy::kNone, proc().layout(),
-             proc().page_pool()) {}
+        unk_(config(), mem::HugePolicy::kNone, runtime_.layout(),
+             runtime_.page_pool()) {}
 
   static mesh::MeshConfig config() {
     mesh::MeshConfig c;
@@ -166,6 +179,7 @@ class UnkSweepContracts : public ::testing::Test {
     return c;
   }
 
+  rt::Runtime runtime_;
   tlb::Machine machine_;
   tlb::Tracer tracer_;
   mesh::UnkContainer unk_;
@@ -208,6 +222,54 @@ TEST_F(UnkSweepContracts, DisabledTracerSkipsContractChecks) {
   tlb::Tracer off;
   EXPECT_NO_THROW(unk_.trace_sweep_axis(off, -5, 7, 0, 99, 0, 99, 0, 99,
                                         1000, 1000));
+}
+
+// ------------------------------------- execution-context preconditions
+// There is no process-wide context to fall back on: a unit built without
+// its runtime, arena or lane count is refused at construction.
+
+TEST(ContextContracts, AmrMeshWithoutArenaThrows) {
+  rt::Runtime runtime;
+  mesh::MeshConfig c;
+  c.ndim = 2;
+  c.nxb = 8;
+  c.nyb = 8;
+  c.maxblocks = 4;
+  EXPECT_THROW(mesh::AmrMesh(c, mem::HugePolicy::kNone, runtime.layout(),
+                             runtime.page_pool(), nullptr),
+               ConfigError);
+  EXPECT_NO_THROW(mesh::AmrMesh(c, mem::HugePolicy::kNone, runtime.layout(),
+                                runtime.page_pool(), &runtime.arena()));
+}
+
+TEST(ContextContracts, DriverWithoutRuntimeThrows) {
+  rt::Runtime runtime;
+  sim::SedovParams params;
+  params.ndim = 2;
+  params.nzb = 1;
+  params.max_level = 1;
+  params.maxblocks = 16;
+  sim::SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
+  hydro::HydroSolver hydro(setup.mesh(), setup.eos());
+  perf::Timers timers;
+  sim::DriverOptions opts;
+  opts.nsteps = 1;
+  opts.verbose = false;
+  sim::DriverUnits units;  // runtime left null
+  EXPECT_THROW(sim::Driver(setup.mesh(), hydro, timers, opts, units),
+               ConfigError);
+  units.runtime = &runtime;
+  EXPECT_NO_THROW(sim::Driver(setup.mesh(), hydro, timers, opts, units));
+}
+
+TEST(ContextContracts, TelemetryNeedsAtLeastOneLane) {
+  obs::TelemetryOptions opts;
+  for (const int lanes : {0, -1}) {
+    opts.lanes = lanes;
+    EXPECT_THROW(obs::Telemetry{opts}, ConfigError) << "lanes=" << lanes;
+  }
+  opts.lanes = 1;
+  EXPECT_NO_THROW(obs::Telemetry{opts});
 }
 
 }  // namespace

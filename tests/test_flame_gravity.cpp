@@ -11,6 +11,7 @@
 #include "flame/flame_speed.hpp"
 #include "gravity/monopole.hpp"
 #include "gravity/white_dwarf.hpp"
+#include "mem/page_pool.hpp"
 #include "mesh/amr_mesh.hpp"
 #include "rt/runtime.hpp"
 #include "support/constants.hpp"
@@ -19,10 +20,9 @@
 namespace fhp {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise flame and gravity physics, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
+// Each test builds its own rt::Runtime: these tests exercise flame and gravity
+// physics, not multi-tenancy (tests/test_runtime.cpp covers runtimes side by
+// side).
 
 namespace c = constants;
 using mesh::var::kDens;
@@ -140,8 +140,9 @@ double front_position(mesh::AmrMesh& m) {
 }
 
 TEST(AdrFlame, FrontPropagatesAtThePrescribedSpeed) {
-  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), &runtime.arena());
   const double rho = 1.0e9;
   plant_front(m, 1.0e7, rho);
 
@@ -172,8 +173,9 @@ TEST(AdrFlame, FrontPropagatesAtThePrescribedSpeed) {
 }
 
 TEST(AdrFlame, ReleasesEnergyAndConvertsFuel) {
-  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), &runtime.arena());
   plant_front(m, 1.0e7, 1.0e9);
   const flame::FlameSpeedTable speeds;
   flame::AdrOptions opts;
@@ -195,8 +197,9 @@ TEST(AdrFlame, ReleasesEnergyAndConvertsFuel) {
 }
 
 TEST(AdrFlame, QuenchesBelowDensityFloor) {
-  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), &runtime.arena());
   plant_front(m, 1.0e7, 1.0e4);  // far below rho_min = 1e6
   const flame::FlameSpeedTable speeds;
   flame::AdrFlame flame(m, speeds, {});
@@ -210,8 +213,9 @@ TEST(AdrFlame, QuenchesBelowDensityFloor) {
 }
 
 TEST(AdrFlame, PhiStaysInUnitInterval) {
-  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), &runtime.arena());
   plant_front(m, 2.0e7, 1.0e9);
   const flame::FlameSpeedTable speeds;
   flame::AdrFlame flame(m, speeds, {});
@@ -230,8 +234,9 @@ TEST(AdrFlame, PhiStaysInUnitInterval) {
 }
 
 TEST(AdrFlame, ScalarSlotValidation) {
-  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), &runtime.arena());
   const flame::FlameSpeedTable speeds;
   flame::AdrOptions bad;
   bad.phi_scalar = 7;  // only 3 scalars configured
@@ -257,8 +262,9 @@ mesh::MeshConfig gravity_config() {
 }
 
 TEST(MonopoleGravity, UniformSphereMatchesAnalyticProfile) {
+  rt::Runtime runtime;
   mesh::AmrMesh m(gravity_config(), mem::HugePolicy::kNone,
-                  proc().layout(), proc().page_pool());
+                  runtime.layout(), runtime.page_pool(), &runtime.arena());
   const double rho0 = 1.0e7, r_star = 5.0e8;
   m.for_leaf_cells([&](int b, int i, int j, int k) {
     const double r = m.xcenter(b, i);
@@ -286,9 +292,10 @@ TEST(MonopoleGravity, UniformSphereMatchesAnalyticProfile) {
 }
 
 TEST(MonopoleGravity, AccelPointsAtTheCenter) {
+  rt::Runtime runtime;
   gravity::MonopoleGravity grav({0.0, 0.0, 0.0}, 64);
   mesh::AmrMesh m(gravity_config(), mem::HugePolicy::kNone,
-                  proc().layout(), proc().page_pool());
+                  runtime.layout(), runtime.page_pool(), &runtime.arena());
   m.for_leaf_cells([&](int b, int i, int j, int k) {
     m.unk().at(kDens, i, j, k, b) = 1.0e5;
   });
@@ -304,8 +311,9 @@ TEST(MonopoleGravity, AccelPointsAtTheCenter) {
 }
 
 TEST(MonopoleGravity, ApplySourceUpdatesMomentumAndEnergy) {
+  rt::Runtime runtime;
   mesh::AmrMesh m(gravity_config(), mem::HugePolicy::kNone,
-                  proc().layout(), proc().page_pool());
+                  runtime.layout(), runtime.page_pool(), &runtime.arena());
   m.for_leaf_cells([&](int b, int i, int j, int k) {
     m.unk().at(kDens, i, j, k, b) = 1.0e7;
     m.unk().at(kEner, i, j, k, b) = 1.0e15;
@@ -331,11 +339,11 @@ TEST(MonopoleGravity, RejectsTooFewShells) {
 // ------------------------------------------------------------ white dwarf
 
 const eos::HelmTableEos& wd_eos() {
+  static mem::PagePool pool;  // outlives the table
   static auto table = std::make_shared<eos::HelmTable>(
       eos::HelmTable::build_or_load(
           eos::HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51},
-          mem::HugePolicy::kNone, proc().page_pool(),
-          "helm_table_test.bin"));
+          mem::HugePolicy::kNone, pool, "helm_table_test.bin"));
   static eos::HelmTableEos eos(table);
   return eos;
 }

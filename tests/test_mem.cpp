@@ -24,10 +24,9 @@
 namespace fhp::mem {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise allocators and mapped regions, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
+// Each test builds its own rt::Runtime: these tests exercise allocators and
+// mapped regions, not multi-tenancy (tests/test_runtime.cpp covers runtimes
+// side by side).
 
 // ------------------------------------------------------------- page sizes
 
@@ -471,7 +470,8 @@ TEST(MappedRegion, HugetlbfsUsesPoolWhenAvailable) {
 // ------------------------------------------------------------------ arena
 
 TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(HugePolicy::kNone, 4u << 20, pool);
   std::vector<std::pair<char*, std::size_t>> blocks;
   for (int i = 0; i < 100; ++i) {
     const std::size_t bytes = 64 + static_cast<std::size_t>(i) * 13;
@@ -491,7 +491,8 @@ TEST(Arena, AllocationsAreAlignedAndDisjoint) {
 }
 
 TEST(Arena, LargeAllocationGetsDedicatedChunk) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(HugePolicy::kNone, 4u << 20, pool);
   (void)arena.allocate(64);
   (void)arena.allocate(16u << 20);  // bigger than the chunk quantum
   const ArenaStats stats = arena.stats();
@@ -500,7 +501,8 @@ TEST(Arena, LargeAllocationGetsDedicatedChunk) {
 }
 
 TEST(Arena, StatsTrackRequests) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(HugePolicy::kNone, 4u << 20, pool);
   (void)arena.allocate(100);
   (void)arena.allocate(200);
   const ArenaStats stats = arena.stats();
@@ -510,7 +512,8 @@ TEST(Arena, StatsTrackRequests) {
 }
 
 TEST(Arena, ReleaseDropsEverything) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(HugePolicy::kNone, 4u << 20, pool);
   (void)arena.allocate(1u << 20);
   arena.release();
   EXPECT_EQ(arena.stats().chunk_count, 0u);
@@ -520,14 +523,16 @@ TEST(Arena, ReleaseDropsEverything) {
 }
 
 TEST(Arena, RejectsBadArguments) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(HugePolicy::kNone, 4u << 20, pool);
   EXPECT_THROW(arena.allocate(0), ConfigError);
   EXPECT_THROW(arena.allocate(64, 63), ConfigError);  // non-pow2 alignment
-  EXPECT_THROW(Arena(HugePolicy::kNone, 1024), ConfigError);  // tiny chunk
+  EXPECT_THROW(Arena(HugePolicy::kNone, 1024, pool), ConfigError);  // tiny
 }
 
 TEST(Arena, ReportMentionsPolicyAndChunks) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(HugePolicy::kNone, 4u << 20, pool);
   (void)arena.allocate(128);
   const std::string report = arena.report();
   EXPECT_NE(report.find("policy=none"), std::string::npos);
@@ -537,7 +542,8 @@ TEST(Arena, ReportMentionsPolicyAndChunks) {
 // -------------------------------------------------------------- allocator
 
 TEST(HugeAllocatorTest, WorksWithStdVector) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(HugePolicy::kNone, 4u << 20, pool);
   std::vector<double, HugeAllocator<double>> v{HugeAllocator<double>(arena)};
   for (int i = 0; i < 10000; ++i) v.push_back(i);
   EXPECT_DOUBLE_EQ(v[9999], 9999.0);
@@ -545,7 +551,9 @@ TEST(HugeAllocatorTest, WorksWithStdVector) {
 }
 
 TEST(HugeAllocatorTest, EqualityFollowsArenaIdentity) {
-  Arena a(HugePolicy::kNone, 4u << 20), b(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena a(HugePolicy::kNone, 4u << 20, pool);
+  Arena b(HugePolicy::kNone, 4u << 20, pool);
   HugeAllocator<int> aa(a), ab(a), ba(b);
   EXPECT_TRUE(aa == ab);
   EXPECT_FALSE(aa == ba);
@@ -554,7 +562,8 @@ TEST(HugeAllocatorTest, EqualityFollowsArenaIdentity) {
 }
 
 TEST(HugeBufferTest, SizeAndZeroInit) {
-  HugeBuffer<double> buf(1000, HugePolicy::kNone, proc().page_pool());
+  rt::Runtime runtime;
+  HugeBuffer<double> buf(1000, HugePolicy::kNone, runtime.page_pool());
   EXPECT_EQ(buf.size(), 1000u);
   EXPECT_EQ(buf.span().size(), 1000u);
   for (std::size_t i = 0; i < buf.size(); ++i) {

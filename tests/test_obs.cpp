@@ -214,19 +214,18 @@ TEST(TelemetryTest, CrossLaneHistogramMerge) {
 }
 
 TEST(TelemetryTest, SpansFromParallelLanesLandInTheirRings) {
-  const int previous_threads = par::threads();
-  par::set_threads(2);
+  par::ExecArena arena(2);
   FakeClock clock;
   TelemetryOptions opts;
-  opts.clock = clock.fn();  // lanes = 0 -> par::threads() == 2
+  opts.lanes = arena.lanes();
+  opts.clock = clock.fn();
   Telemetry telemetry(opts);
   ASSERT_EQ(telemetry.lanes(), 2);
   telemetry.install();
-  par::parallel_for(64, [](int /*lane*/, std::size_t /*i*/) {
+  arena.parallel_for(64, [](int /*lane*/, std::size_t /*i*/) {
     FHP_TRACE_SPAN("par.item");
   });
   telemetry.uninstall();
-  par::set_threads(previous_threads);
   // Static chunking: each of the two lanes ran 32 items.
   EXPECT_EQ(telemetry.ring(0).pushed(), 32u);
   EXPECT_EQ(telemetry.ring(1).pushed(), 32u);
@@ -394,10 +393,11 @@ TEST(SamplerTest, SamplerOverParallelSweepIsRaceFree) {
   // The tsan workload: a background sampler reading published counters
   // at 1 ms cadence while parallel lanes hammer their shards and record
   // spans. Any read of unsynchronized state here is a tsan report.
-  const int previous_threads = par::threads();
-  par::set_threads(2);
+  par::ExecArena arena(2);
   perf::PerfContext perf;
-  Telemetry telemetry;  // lanes = par::threads()
+  TelemetryOptions topts;
+  topts.lanes = arena.lanes();
+  Telemetry telemetry(topts);
   telemetry.install();
   SamplerOptions opts =
       SamplerOptions::with_procfs_root(fixture_root("kernel-6.6"));
@@ -406,7 +406,7 @@ TEST(SamplerTest, SamplerOverParallelSweepIsRaceFree) {
   Sampler sampler(opts);
   sampler.start();
   for (int step = 0; step < 20; ++step) {
-    par::parallel_for(128, [&perf](int /*lane*/, std::size_t /*i*/) {
+    arena.parallel_for(128, [&perf](int /*lane*/, std::size_t /*i*/) {
       FHP_TRACE_SPAN("load.item");
       perf.add(perf::Event::kCycles, 7);
     });
@@ -414,7 +414,6 @@ TEST(SamplerTest, SamplerOverParallelSweepIsRaceFree) {
   }
   sampler.stop();
   telemetry.uninstall();
-  par::set_threads(previous_threads);
   EXPECT_EQ(telemetry.total_spans(), 20u * 128u);
   EXPECT_EQ(perf.published().counters[perf::Event::kCycles],
             20u * 128u * 7u);
@@ -481,6 +480,9 @@ TEST(ObsEnvironment, SampleMsParsesAndValidates) {
   ::setenv(kSampleMsEnvVar, "0", 1);
   EXPECT_THROW(static_cast<void>(sample_ms_from_environment(10)), ConfigError);
   ::setenv(kSampleMsEnvVar, "fast", 1);
+  EXPECT_THROW(static_cast<void>(sample_ms_from_environment(10)), ConfigError);
+  // 2^32 + 25: a plain int cast would narrow it to 25 ms.
+  ::setenv(kSampleMsEnvVar, "4294967321", 1);
   EXPECT_THROW(static_cast<void>(sample_ms_from_environment(10)), ConfigError);
   ::unsetenv(kSampleMsEnvVar);
 }

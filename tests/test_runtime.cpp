@@ -2,9 +2,9 @@
 /// \brief Tests for fhp::rt::Runtime — the explicit per-tenant context.
 ///
 /// Four layers:
-///   1. context plumbing — process_default() identity and dynamic
-///      re-resolution, construction-time config snapshots, private vs
-///      injected page pools;
+///   1. context plumbing — construction-time config snapshots, lane
+///      reconfiguration through the arena, private vs injected page
+///      pools;
 ///   2. execution arenas — per-arena region guards (two arenas mid-region
 ///      at once), lane-count reconfiguration between regions, and the
 ///      pool_for() regression: set_lanes() while a region is in flight on
@@ -35,6 +35,7 @@
 #include "eos/eos_table.hpp"
 #include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
+#include "mem/page_pool.hpp"
 #include "mesh/amr_mesh.hpp"
 #include "mesh/config.hpp"
 #include "mesh/layout.hpp"
@@ -58,22 +59,8 @@ using mesh::LayoutKind;
 
 // ----------------------------------------------------- context plumbing
 
-TEST(RuntimeContext, ProcessDefaultWrapsTheProcessSingletons) {
-  rt::Runtime& a = rt::Runtime::process_default();
-  rt::Runtime& b = rt::Runtime::process_default();
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(&a.arena(), &par::process_arena());
-
-  // The compatibility tenant re-resolves dynamically: its lane count
-  // tracks set_threads, it does not snapshot.
-  const int previous = par::threads();
-  par::set_threads(3);
-  EXPECT_EQ(a.lanes(), 3);
-  par::set_threads(previous);
-}
-
 TEST(RuntimeContext, ExplicitRuntimeSnapshotsConfigAtConstruction) {
-  const LayoutKind resolved = rt::Runtime::process_default().layout();
+  const LayoutKind resolved = rt::Runtime().layout();
 
   mesh::set_default_layout(LayoutKind::kZoneMajor);
   rt::RuntimeOptions opts;
@@ -82,8 +69,12 @@ TEST(RuntimeContext, ExplicitRuntimeSnapshotsConfigAtConstruction) {
 
   mesh::set_default_layout(LayoutKind::kTiled);
   EXPECT_EQ(snapshot.layout(), LayoutKind::kZoneMajor);
-  EXPECT_EQ(rt::Runtime::process_default().layout(), LayoutKind::kTiled);
+  EXPECT_EQ(rt::Runtime().layout(), LayoutKind::kTiled);  // built later
   EXPECT_EQ(snapshot.lanes(), 2);
+
+  // The lane count changes only through the runtime's own arena.
+  snapshot.arena().set_lanes(3);
+  EXPECT_EQ(snapshot.lanes(), 3);
 
   rt::RuntimeOptions explicit_opts;
   explicit_opts.lanes = 1;
@@ -100,16 +91,18 @@ TEST(RuntimeContext, ExplicitRuntimeSnapshotsConfigAtConstruction) {
 
 TEST(RuntimeContext, PoolIsPrivateByDefaultAndSharableByInjection) {
   rt::Runtime private_tenant;
-  EXPECT_NE(&private_tenant.page_pool(),
-            &rt::Runtime::process_default().page_pool());
-  EXPECT_NE(&private_tenant.perf(), &rt::Runtime::process_default().perf());
-  EXPECT_NE(&private_tenant.arena(), &par::process_arena());
+  rt::Runtime other_tenant;
+  EXPECT_NE(&private_tenant.page_pool(), &other_tenant.page_pool());
+  EXPECT_NE(&private_tenant.perf(), &other_tenant.perf());
+  EXPECT_NE(&private_tenant.arena(), &other_tenant.arena());
 
+  mem::PagePool shared;
   rt::RuntimeOptions opts;
-  opts.pool = &rt::Runtime::process_default().page_pool();
+  opts.pool = &shared;
   rt::Runtime shared_tenant(opts);
-  EXPECT_EQ(&shared_tenant.page_pool(),
-            &rt::Runtime::process_default().page_pool());
+  rt::Runtime shared_tenant_b(opts);
+  EXPECT_EQ(&shared_tenant.page_pool(), &shared);
+  EXPECT_EQ(&shared_tenant_b.page_pool(), &shared);
 }
 
 // ----------------------------------------------------- execution arenas
@@ -475,9 +468,10 @@ void warm_process() {
   // Build (or load) the Helm table cache once, so every tenant below
   // loads the identical table file instead of each paying the build.
   const SupernovaParams params = snova_params();
-  (void)eos::HelmTable::build_or_load(
-      params.table_spec, mem::HugePolicy::kNone,
-      rt::Runtime::process_default().page_pool(), params.table_cache);
+  mem::PagePool pool;
+  (void)eos::HelmTable::build_or_load(params.table_spec,
+                                      mem::HugePolicy::kNone, pool,
+                                      params.table_cache);
 }
 
 TEST(RuntimePhysics, InterleavedTenantsBitIdenticalToSolo) {

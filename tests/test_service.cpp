@@ -23,6 +23,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -35,9 +36,11 @@
 #include "mem/numa.hpp"
 #include "mem/page_pool.hpp"
 #include "mem/page_size.hpp"
+#include "par/parallel.hpp"
 #include "perf/events.hpp"
 #include "rt/runtime.hpp"
 #include "support/error.hpp"
+#include "support/runtime_params.hpp"
 #include "svc/service.hpp"
 
 namespace fhp::svc {
@@ -108,10 +111,10 @@ JobSpec supernova_spec(int nsteps = 3) {
 /// build (mirrors test_runtime's warm_process).
 void warm_process() {
   const JobSpec spec = supernova_spec();
-  (void)eos::HelmTable::build_or_load(
-      spec.supernova.table_spec, mem::HugePolicy::kNone,
-      rt::Runtime::process_default().page_pool(),
-      spec.supernova.table_cache);
+  mem::PagePool pool;
+  (void)eos::HelmTable::build_or_load(spec.supernova.table_spec,
+                                      mem::HugePolicy::kNone, pool,
+                                      spec.supernova.table_cache);
 }
 
 void expect_counters_identical(const perf::PublishedCounters& a,
@@ -123,6 +126,46 @@ void expect_counters_identical(const perf::PublishedCounters& a,
     EXPECT_EQ(a.counters.values[e], b.counters.values[e])
         << what << ": counter " << e << " differs";
   }
+}
+
+// --------------------------------------------------------- configuration
+
+// None of these values may start threads: a rejected count must throw
+// before any worker exists, and the accepted ones are only resolved.
+TEST(ServiceConfig, WorkerCountsOutsideTheLaneRangeRejected) {
+  // 2^32: a plain int cast would narrow it to 0 workers, a service whose
+  // wait() never returns.
+  ASSERT_EQ(::setenv(kSvcLanesEnvVar, "4294967296", 1), 0);
+  EXPECT_THROW(Service{}, ConfigError);
+  ASSERT_EQ(::setenv(kSvcLanesEnvVar, "3", 1), 0);
+  EXPECT_EQ(resolve_service_lanes(), 3);
+  // submit() caps JobSpec::lanes at par::kMaxLanes; workers share the cap.
+  const std::string over_cap = std::to_string(par::kMaxLanes + 1);
+  ASSERT_EQ(::setenv(kSvcLanesEnvVar, over_cap.c_str(), 1), 0);
+  EXPECT_THROW(static_cast<void>(resolve_service_lanes()), ConfigError);
+  ASSERT_EQ(::unsetenv(kSvcLanesEnvVar), 0);
+  EXPECT_EQ(resolve_service_lanes(), 2);
+}
+
+TEST(ServiceConfig, RuntimeParamsRejectWrappingAndUncappedValues) {
+  RuntimeParams rp;
+  declare_runtime_params(rp);
+  rp.set_int("svc.lanes", 100000);
+  apply_runtime_params(rp);
+  EXPECT_THROW(static_cast<void>(resolve_service_lanes()), ConfigError);
+  rp.set_int("svc.lanes", 4);
+  apply_runtime_params(rp);
+  EXPECT_EQ(resolve_service_lanes(), 4);
+  for (const char* name : {"svc.lanes", "svc.queue", "svc.quantum"}) {
+    RuntimeParams bad;
+    declare_runtime_params(bad);
+    bad.set_int(name, 4294967296LL);  // would wrap to 0 ("unset")
+    EXPECT_THROW(apply_runtime_params(bad), ConfigError) << name;
+    bad.set_int(name, -1);
+    EXPECT_THROW(apply_runtime_params(bad), ConfigError) << name;
+  }
+  rp.set_int("svc.lanes", 0);
+  apply_runtime_params(rp);  // back to "unset" for later tests
 }
 
 // ------------------------------------------------------------ lifecycle

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -232,6 +234,44 @@ TEST(RuntimeParams, DumpListsEverything) {
 }
 
 // --------------------------------------------------------------------- rng
+
+TEST(RuntimeParams, IntInRangeRefusesWhatWouldWrap) {
+  EXPECT_EQ(int_in_range(7, "knob", 1), 7);
+  EXPECT_EQ(int_in_range(0, "knob", 0), 0);
+  EXPECT_EQ(int_in_range(2147483647LL, "knob", 1), 2147483647);
+  EXPECT_THROW(static_cast<void>(int_in_range(0, "knob", 1)), ConfigError);
+  // 2^32 and 2^32 + 2 narrow to 0 and 2 through a plain int cast.
+  EXPECT_THROW(static_cast<void>(int_in_range(4294967296LL, "knob", 1)),
+               ConfigError);
+  EXPECT_THROW(static_cast<void>(int_in_range(4294967298LL, "knob", 1)),
+               ConfigError);
+  EXPECT_THROW(static_cast<void>(int_in_range(65, "knob", 1, 64)),
+               ConfigError);
+  try {
+    static_cast<void>(int_in_range(-5, "svc.queue", 0));
+    FAIL() << "should have thrown";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("svc.queue"), std::string::npos);
+  }
+}
+
+TEST(RuntimeParams, PositiveIntFromEnvironment) {
+  const char* var = "FLASHHP_TEST_POSITIVE_INT";
+  ASSERT_EQ(::unsetenv(var), 0);
+  EXPECT_EQ(positive_int_from_env(var, 9), 9);  // unset: fallback
+  ASSERT_EQ(::setenv(var, "", 1), 0);
+  EXPECT_EQ(positive_int_from_env(var, 9), 9);  // empty: fallback
+  ASSERT_EQ(::setenv(var, "12", 1), 0);
+  EXPECT_EQ(positive_int_from_env(var, 9), 12);
+  for (const char* bad : {"0", "-3", "12abc", "abc", "4294967296",
+                          "99999999999999999999"}) {
+    ASSERT_EQ(::setenv(var, bad, 1), 0);
+    EXPECT_THROW(static_cast<void>(positive_int_from_env(var, 9)),
+                 ConfigError)
+        << bad;
+  }
+  ASSERT_EQ(::unsetenv(var), 0);
+}
 
 TEST(Rng, DeterministicForFixedSeed) {
   Rng a(1234), b(1234);

@@ -48,7 +48,8 @@ namespace {
 // ------------------------------------------------- construction contracts
 
 TEST(TaskGraphBuild, CycleRejectedWithTaskNames) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   const auto a = g.add_task("alpha", [](int) {});
   const auto b = g.add_task("beta", [](int) {});
   const auto c = g.add_task("gamma", [](int) {});
@@ -67,13 +68,15 @@ TEST(TaskGraphBuild, CycleRejectedWithTaskNames) {
 }
 
 TEST(TaskGraphBuild, SelfEdgeRejected) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   const auto a = g.add_task("self", [](int) {});
   EXPECT_THROW(g.add_edge(a, a), ConfigError);
 }
 
 TEST(TaskGraphBuild, DuplicateEdgeRejected) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   const auto a = g.add_task("a", [](int) {});
   const auto b = g.add_task("b", [](int) {});
   g.add_edge(a, b);
@@ -81,7 +84,8 @@ TEST(TaskGraphBuild, DuplicateEdgeRejected) {
 }
 
 TEST(TaskGraphBuild, MutationAfterFreezeRejected) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   const auto a = g.add_task("a", [](int) {});
   const auto b = g.add_task("b", [](int) {});
   g.add_edge(a, b);
@@ -95,14 +99,16 @@ TEST(TaskGraphBuild, MutationAfterFreezeRejected) {
 }
 
 TEST(TaskGraphBuild, RunRequiresFreeze) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   g.add_task("a", [](int) {});
   EXPECT_THROW(g.run(), ConfigError);
   EXPECT_THROW(g.run_serial(TaskGraph::Schedule::kFifo), ConfigError);
 }
 
 TEST(TaskGraphBuild, EmptyGraphRunsAsNoOp) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   g.freeze();
   g.run();
   EXPECT_EQ(g.last_stats().executed, 0u);
@@ -111,10 +117,9 @@ TEST(TaskGraphBuild, EmptyGraphRunsAsNoOp) {
 // --------------------------------------------------- parallel execution
 
 TEST(TaskGraphRun, EveryTaskExecutesExactlyOnce) {
-  const int previous = threads();
-  set_threads(4);
   constexpr int kTasks = 96;
-  TaskGraph g;
+  ExecArena arena(4);
+  TaskGraph g(arena);
   std::vector<std::atomic<int>> hits(kTasks);
   for (int i = 0; i < kTasks; ++i) {
     g.add_task("work", [&hits, i](int) {
@@ -130,13 +135,11 @@ TEST(TaskGraphRun, EveryTaskExecutesExactlyOnce) {
   // Graphs are reusable: a second run re-executes everything.
   g.run();
   for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
-  set_threads(previous);
 }
 
 TEST(TaskGraphRun, ExceptionAbortsRunAndRethrows) {
-  const int previous = threads();
-  set_threads(2);
-  TaskGraph g;
+  ExecArena arena(2);
+  TaskGraph g(arena);
   std::atomic<int> ran{0};
   const auto boom = g.add_task("boom", [](int) {
     throw NumericsError("deliberate task failure");
@@ -152,7 +155,6 @@ TEST(TaskGraphRun, ExceptionAbortsRunAndRethrows) {
   // the graph is reusable afterwards: a run with no throwing body works.
   ran.store(0);
   EXPECT_THROW(g.run(), NumericsError);
-  set_threads(previous);
 }
 
 // ------------------------------------------- adversarial ready orders
@@ -163,7 +165,8 @@ TEST(TaskGraphRun, ExceptionAbortsRunAndRethrows) {
 ///    │      ╲          ▲
 ///    └─► 2 ──► 4 ──────┘     (plus 6, 7 independent)
 struct OrderedGraph {
-  TaskGraph g;
+  ExecArena arena{1};
+  TaskGraph g{arena};
   std::vector<int> order;  // completion sequence of task ids
   std::vector<std::pair<int, int>> edges;
 
@@ -209,7 +212,8 @@ TEST(TaskGraphAdversarial, RandomSchedulesRespectDependencies) {
 }
 
 TEST(TaskGraphAdversarial, FifoScheduleIsSubmissionOrderForFreeTasks) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     // fhp-analyze: allow(alloc-in-region) -- test harness recording the
@@ -231,10 +235,8 @@ TEST(TaskGraphAdversarial, FifoScheduleIsSubmissionOrderForFreeTasks) {
 namespace fhp::sim {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// pin lane counts with par::set_threads (the process arena tracks it);
-// tests/test_runtime.cpp covers explicit runtimes.
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
+// Each run builds its own rt::Runtime with the lane count under test;
+// tests/test_runtime.cpp covers runtimes side by side.
 
 using mesh::LayoutKind;
 
@@ -282,14 +284,14 @@ void expect_identical(const RunResult& a, const RunResult& b,
 }
 
 RunResult run_sedov(LayoutKind layout, int threads, ExecMode mode) {
-  par::set_threads(threads);
+  rt::Runtime runtime(rt::RuntimeOptions{.lanes = threads});
   perf::PerfContext perf;
   SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 2;
   params.maxblocks = 128;
-  SedovSetup setup(params, mem::HugePolicy::kNone, proc(), layout);
+  SedovSetup setup(params, mem::HugePolicy::kNone, runtime, layout);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroSolver hydro(m, setup.eos());
   perf::Timers timers;
@@ -302,9 +304,9 @@ RunResult run_sedov(LayoutKind layout, int threads, ExecMode mode) {
   DriverUnits units;
   units.machine = &machine;
   units.perf = &perf;
+  units.runtime = &runtime;
   Driver driver(m, hydro, timers, opts, units);
   driver.evolve();
-  par::set_threads(1);
   RunResult r;
   append_canonical_state(m, driver.sim_time(), r.state);
   r.counters = perf.snapshot();
@@ -343,14 +345,14 @@ TEST(TaskGraphPhysics, SedovBitIdenticalAcrossModesLanesAndLayouts) {
 }
 
 RunResult run_supernova(LayoutKind layout, int threads, ExecMode mode) {
-  par::set_threads(threads);
+  rt::Runtime runtime(rt::RuntimeOptions{.lanes = threads});
   perf::PerfContext perf;
   SupernovaParams p;
   p.max_level = 3;
   p.maxblocks = 400;
   p.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
   p.table_cache = "helm_table_taskgraph.bin";
-  SupernovaSetup setup(p, mem::HugePolicy::kNone, proc(), layout);
+  SupernovaSetup setup(p, mem::HugePolicy::kNone, runtime, layout);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroOptions hopt;
   hopt.cfl = 0.6;
@@ -372,9 +374,9 @@ RunResult run_supernova(LayoutKind layout, int threads, ExecMode mode) {
   units.eos_trace =
       [&setup](tlb::Tracer& t, int b) { setup.trace_eos_block(t, b); };
   units.perf = &perf;
+  units.runtime = &runtime;
   Driver driver(m, hydro, timers, opts, units);
   driver.evolve();
-  par::set_threads(1);
   RunResult r;
   append_canonical_state(m, driver.sim_time(), r.state);
   r.counters = perf.snapshot();
@@ -394,9 +396,9 @@ TEST(TaskGraphPhysics, SupernovaBitIdenticalAcrossModesLanesAndLayouts) {
   // one. Neither is part of the bulk-vs-task-graph contract, so warm the
   // table cache and then discard one complete run: every *measured* run
   // below executes in allocator steady state.
+  mem::PagePool pool;
   (void)eos::HelmTable::build_or_load({-4.0, 10.0, 141, 5.0, 10.0, 51},
-                                      mem::HugePolicy::kNone,
-                                      proc().page_pool(),
+                                      mem::HugePolicy::kNone, pool,
                                       "helm_table_taskgraph.bin");
   (void)run_supernova(LayoutKind::kVarMajor, 1, ExecMode::kBulkSync);
   const RunResult global =
@@ -428,10 +430,11 @@ TEST(TaskGraphSampler, SamplerOverTaskGraphStepsIsRaceFree) {
   // published counters at 1 ms cadence while work-stealing lanes run a
   // full task-graph Sedov evolution with spans enabled. Any read of
   // unsynchronized scheduler or shard state is a tsan report.
-  const int previous = par::threads();
-  par::set_threads(2);
+  rt::Runtime runtime(rt::RuntimeOptions{.lanes = 2});
   perf::PerfContext perf;
-  obs::Telemetry telemetry;
+  obs::TelemetryOptions topts;
+  topts.lanes = runtime.lanes();
+  obs::Telemetry telemetry(topts);
   telemetry.install();
   obs::SamplerOptions sopts = obs::SamplerOptions::with_procfs_root(
       std::string(FHP_TEST_FIXTURE_DIR) + "/procfs/kernel-6.6");
@@ -445,7 +448,7 @@ TEST(TaskGraphSampler, SamplerOverTaskGraphStepsIsRaceFree) {
   params.nzb = 1;
   params.max_level = 2;
   params.maxblocks = 128;
-  SedovSetup setup(params, mem::HugePolicy::kNone, proc());
+  SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroSolver hydro(m, setup.eos());
   perf::Timers timers;
@@ -458,12 +461,12 @@ TEST(TaskGraphSampler, SamplerOverTaskGraphStepsIsRaceFree) {
   DriverUnits units;
   units.machine = &machine;
   units.perf = &perf;
+  units.runtime = &runtime;
   Driver driver(m, hydro, timers, opts, units);
   driver.evolve();
 
   sampler.stop();
   telemetry.uninstall();
-  par::set_threads(previous);
   EXPECT_EQ(driver.steps(), 10);
   EXPECT_GT(telemetry.total_spans(), 0u);
   EXPECT_GE(sampler.taken(), 1u);

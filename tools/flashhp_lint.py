@@ -35,20 +35,22 @@ so this linter does:
                       ("../mem/arena.hpp"), and must resolve to a real
                       file under src/.
 
-  singleton-instance  `::instance()` call sites are allowed only in the
-                      deprecated compat shims (src/perf/soft_counters.*,
-                      src/perf/region.*). Instrumentation goes through an
+  singleton-instance  `::instance()` call sites and reads of process-wide
+                      execution state. Instrumentation goes through an
                       explicit perf::PerfContext so experiment arms and
                       threads cannot leak counters into each other; a new
                       process-wide singleton reintroduces exactly that.
-                      The rule also bans the retired process-global
-                      accessors — `PerfContext::global()`,
-                      `mem::global_page_pool()`, `mesh::default_layout()`
-                      — everywhere except src/rt/runtime.cpp, the one
-                      file allowed to wrap them (it is what
-                      rt::Runtime::process_default() is made of). Code
-                      inside a runtime takes `runtime.perf()`,
-                      `runtime.page_pool()`, `runtime.layout()`.
+                      The rule also bans the process-global accessors —
+                      `mesh::default_layout()` and, as reintroduction
+                      guards for the retired ones, `PerfContext::global()`,
+                      `global_page_pool()`, `global_arena()`,
+                      `process_arena()`, `Runtime::process_default()`,
+                      `set_threads()`, `par::threads()`. No file is
+                      exempt: the Logger (one log stream per process, by
+                      design) and rt::Runtime's one read of the layout
+                      default carry line-level allows. Code takes
+                      `runtime.perf()`, `runtime.page_pool()`,
+                      `runtime.arena()`, `runtime.layout()`.
 
   runtime-construction  (--check-runtime only) an executable under
                       examples/ or bench/ that constructs simulation
@@ -115,8 +117,7 @@ RULES = {
     "bulk-alloc": "malloc/new[] bulk allocation in mesh/hydro/eos",
     "include-hygiene": "#pragma once, module-qualified non-relative includes",
     "singleton-instance":
-        "::instance() / process-global accessor call site outside the "
-        "compat shims and src/rt/runtime.cpp",
+        "::instance() / process-global accessor call site",
     "runtime-construction":
         "examples/bench executable builds simulation state without an "
         "rt::Runtime (--check-runtime mode)",
@@ -302,13 +303,15 @@ MAKE_UNIQUE_ARRAY_RE = re.compile(r"\bmake_unique\s*<[^;>]*\[\s*\]\s*>")
 QUOTED_INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
 PRAGMA_ONCE_RE = re.compile(r"#\s*pragma\s+once\b")
 SINGLETON_RE = re.compile(r"(?:\.|->|::)\s*instance\s*\(\s*\)")
-# The retired process-global accessors. `\bdefault_layout` deliberately
-# does NOT match `set_default_layout(` (no word boundary after `set_`):
-# *choosing* the process default is configuration, *reading* it is the
-# ambient dependency the rule exists to stop.
+# The process-global accessors: the layout default, plus the retired
+# ambient-context path kept as reintroduction guards. `\bdefault_layout`
+# deliberately does NOT match `set_default_layout(` (no word boundary
+# after `set_`): *choosing* the process default is configuration,
+# *reading* it is the ambient dependency the rule exists to stop.
 PROCESS_GLOBAL_RE = re.compile(
     r"PerfContext\s*::\s*global\s*\(|\bglobal_page_pool\s*\(|"
-    r"\bdefault_layout\s*\(")
+    r"\bdefault_layout\s*\(|\bglobal_arena\s*\(|\bprocess_arena\s*\(|"
+    r"\bprocess_default\s*\(|\bset_threads\s*\(|\bpar\s*::\s*threads\s*\(")
 # --check-runtime: the types whose construction marks an executable as
 # "builds simulation state", and the tokens that satisfy the obligation.
 SIM_STATE_RE = re.compile(
@@ -318,8 +321,7 @@ SIM_STATE_RE = re.compile(
 # rt::Runtime per tenant internally — a load generator submitting
 # JobSpecs owns its context through the service, not an ambient one.
 RUNTIME_TOKEN_RE = re.compile(
-    r"\brt\s*::\s*Runtime\b|\bRuntime\s*::\s*process_default\b|"
-    r"\bsvc\s*::\s*Service\b")
+    r"\brt\s*::\s*Runtime\b|\bsvc\s*::\s*Service\b")
 # An nvar-like factor (nvar, nvar_, nvar(), kNvar, c.nvar(), NVAR ...)
 # multiplied into a parenthesized expression: the shape of hand-rolled
 # var-major offset math like `v + nvar * (i + ni * (j + ...))`. The
@@ -356,15 +358,6 @@ class Linter:
 
     def _is_bulk_scope(self, path: pathlib.Path) -> bool:
         return any(self._under(path, m) for m in ("mesh", "hydro", "eos"))
-
-    def _is_singleton_shim(self, path: pathlib.Path) -> bool:
-        return self._under(path, "perf") and \
-            path.stem in ("soft_counters", "region")
-
-    def _is_runtime_home(self, path: pathlib.Path) -> bool:
-        # The one licensed caller of the process-global accessors:
-        # rt::Runtime::process_default()'s implementation file.
-        return self._under(path, "rt") and path.stem == "runtime"
 
     def _is_layout(self, path: pathlib.Path) -> bool:
         return self._under(path, "mesh") and path.stem == "layout"
@@ -409,8 +402,6 @@ class Linter:
         in_mmap_scope = self._is_mmap_scope(path)
         in_page_size = self._is_page_size(path)
         in_bulk = self._is_bulk_scope(path)
-        in_singleton_shim = self._is_singleton_shim(path)
-        in_runtime_home = self._is_runtime_home(path)
         in_layout = self._is_layout(path)
 
         # ---- procfs hygiene ------------------------------------------
@@ -519,20 +510,17 @@ class Linter:
                        "the code holds under every FLASHHP_LAYOUT")
 
             # ---- singleton call sites --------------------------------
-            if not in_singleton_shim and SINGLETON_RE.search(code):
+            if SINGLETON_RE.search(code):
                 report(lineno, "singleton-instance",
                        "::instance() call site — pass an explicit "
                        "perf::PerfContext (or the relevant handle) instead "
                        "of reaching for process-wide singleton state")
-            if not in_runtime_home:
-                m = PROCESS_GLOBAL_RE.search(code)
-                if m:
-                    accessor = m.group(0).rstrip("(").strip()
-                    report(lineno, "singleton-instance",
-                           f"{accessor}() call site — construct an "
-                           f"fhp::rt::Runtime (or use "
-                           f"rt::Runtime::process_default()) and take "
-                           f"the handle from it")
+            m = PROCESS_GLOBAL_RE.search(code)
+            if m:
+                accessor = m.group(0).rstrip("(").strip()
+                report(lineno, "singleton-instance",
+                       f"{accessor}() call site — construct an "
+                       f"fhp::rt::Runtime and take the handle from it")
 
             # ---- bulk allocation in simulation modules ---------------
             if in_bulk:
@@ -572,9 +560,7 @@ class Linter:
                     path, 1, "runtime-construction",
                     "constructs simulation state (Setup / DriverUnits / "
                     "mesh containers) but never names an fhp::rt::Runtime "
-                    "— construct one (or take "
-                    "rt::Runtime::process_default()) and pass its "
-                    "handles down"))
+                    "— construct one and pass its handles down"))
 
     def lint_tree(self, paths: list[pathlib.Path]) -> None:
         for base in paths:
@@ -658,7 +644,7 @@ SELF_TEST_FILES = {
         '}\n',
         {"singleton-instance": 1},
     ),
-    # The retired process-global accessors are singleton reads too.
+    # The process-global accessors are singleton reads too.
     "src/hydro/bad_process_global.cpp": (
         'void wire_from_ambient_state() {\n'
         '  auto& ctx = fhp::perf::PerfContext::global();\n'
@@ -668,17 +654,31 @@ SELF_TEST_FILES = {
         '}\n',
         {"singleton-instance": 3},
     ),
-    # rt/runtime.cpp is the licensed wrapper of the process globals.
+    # The retired ambient execution context stays banned everywhere.
+    "src/sim/bad_retired_context.cpp": (
+        'void lean_on_process_state() {\n'
+        '  auto& rt = fhp::rt::Runtime::process_default();\n'
+        '  auto& arena = fhp::mem::global_arena();\n'
+        '  auto& lanes = fhp::par::process_arena();\n'
+        '  fhp::par::set_threads(4);\n'
+        '  const int n = fhp::par::threads();\n'
+        '  const int m = fhp::par::threads_from_environment(1);\n'
+        '  (void)rt; (void)arena; (void)lanes; (void)n; (void)m;\n'
+        '}\n',
+        {"singleton-instance": 5},
+    ),
+    # rt/runtime.cpp is not exempt either: its one read of the layout
+    # default carries a line-level allow, which covers that line only.
     "src/rt/runtime.cpp": (
         'namespace fhp::rt {\n'
-        'void snapshot_process_state() {\n'
-        '  auto& ctx = perf::PerfContext::global();\n'
-        '  auto& pool = mem::global_page_pool();\n'
+        'void resolve_once() {\n'
+        '  // fhp-lint: allow(singleton-instance) -- read once, here\n'
         '  auto kind = mesh::default_layout();\n'
-        '  (void)ctx; (void)pool; (void)kind;\n'
+        '  auto& ctx = perf::PerfContext::global();\n'
+        '  (void)kind; (void)ctx;\n'
         '}\n'
         '}  // namespace fhp::rt\n',
-        {},
+        {"singleton-instance": 1},
     ),
     # Pinning the default (set_default_layout) is configuration, not an
     # ambient read; it must not trip the accessor ban.
@@ -689,7 +689,8 @@ SELF_TEST_FILES = {
         '}\n',
         {},
     ),
-    # The compat shims themselves may define and call instance().
+    # No file is licensed to define a singleton: one in src/perf is a
+    # finding like anywhere else.
     "src/perf/soft_counters.cpp": (
         'namespace fhp::perf {\n'
         'struct SoftCounters { static SoftCounters& instance() noexcept; };\n'
@@ -698,7 +699,7 @@ SELF_TEST_FILES = {
         '  return shim;\n'
         '}\n'
         '}\n',
-        {},
+        {"singleton-instance": 1},
     ),
     # Hand-rolled var-major offset math outside the layout policy.
     "src/hydro/bad_offset.cpp": (
@@ -823,6 +824,15 @@ def run_self_test() -> int:
             '                             runtime);\n'
             '  return 0;\n'
             '}\n')
+        # Naming only the retired ambient runtime does not satisfy the
+        # obligation.
+        (root / "examples/bad_ambient_runtime.cpp").write_text(
+            'using namespace fhp::rt;\n'
+            'int main() {\n'
+            '  fhp::sim::SedovSetup setup({}, fhp::mem::HugePolicy::kNone,\n'
+            '                             Runtime::process_default());\n'
+            '  return 0;\n'
+            '}\n')
         (root / "examples/no_sim_state.cpp").write_text(
             'int main() { return 0; }\n')
         # A service client builds JobSpecs, never a Runtime by name: the
@@ -841,11 +851,12 @@ def run_self_test() -> int:
         linter = Linter(root)
         linter.check_runtime_construction()
         runtime_hits = sorted(v.path.name for v in linter.violations)
-        if runtime_hits != ["bad_no_runtime.cpp"] or any(
+        expected_hits = ["bad_ambient_runtime.cpp", "bad_no_runtime.cpp"]
+        if runtime_hits != expected_hits or any(
                 v.rule != "runtime-construction" for v in linter.violations):
             failures += 1
             print(f"SELF-TEST FAIL --check-runtime: expected exactly "
-                  f"bad_no_runtime.cpp, got {runtime_hits}", file=sys.stderr)
+                  f"{expected_hits}, got {runtime_hits}", file=sys.stderr)
     if failures == 0:
         print(f"flashhp_lint self-test: OK "
               f"({len(SELF_TEST_FILES) + 2} scenarios)")
