@@ -47,12 +47,10 @@ double run_hydro_scan_arm(fhp::bench::ExperimentArm& arm,
                           fhp::mem::PagePool& pool, fhp::sim::ExecMode mode,
                           int nsteps, int max_level, int sample, int lanes) {
   using namespace fhp;
-  // Each scan run is a tenant: its own Runtime (explicit lane count)
-  // carving from the scan's shared pool.
-  rt::RuntimeOptions ropt;
-  ropt.lanes = lanes;
-  ropt.pool = &pool;
-  rt::Runtime runtime(ropt);
+  // Each scan run is a tenant: its own Runtime (var_major, explicit lane
+  // count) carving from the scan's shared pool.
+  rt::Runtime runtime(
+      bench::paper_runtime_options(pool, mem::HugePolicy::kNone, lanes));
   sim::SedovParams params;
   params.max_level = max_level;
   params.maxblocks = 700;

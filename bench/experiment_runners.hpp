@@ -4,9 +4,10 @@
 /// bench_table1_eos, bench_table2_hydro and bench_fig1_ratios all run the
 /// same two workloads; this header holds the single implementation. Each
 /// arm builds on ExperimentArm (its own PerfContext + machine + timers)
-/// and its own rt::Runtime with \p lanes lanes for the block-parallel
-/// sweeps — modeled counters are bit-identical across lane counts
-/// because tracing replays serially into the arm's machine model. The
+/// and its own rt::Runtime (paper_runtime_options: var_major, the arm's
+/// policy, \p lanes lanes for the block-parallel sweeps) — modeled
+/// counters are bit-identical across lane counts because tracing
+/// replays serially into the arm's machine model. The
 /// arms carve from the caller's \p pool, so back-to-back arms reuse the
 /// same huge-page inventory.
 
@@ -15,20 +16,33 @@
 #include "experiment_common.hpp"
 #include "hydro/hydro.hpp"
 #include "mem/page_pool.hpp"
+#include "mesh/layout.hpp"
 #include "rt/runtime.hpp"
 #include "sim/sedov.hpp"
 #include "sim/supernova.hpp"
 
 namespace fhp::bench {
 
+/// A paper arm's runtime: var_major pinned (the paper's Fortran unk
+/// order, so a stray FLASHHP_LAYOUT cannot move the Table I/II
+/// counters), the arm's page policy, \p lanes lanes, carving from
+/// \p pool.
+inline rt::RuntimeOptions paper_runtime_options(mem::PagePool& pool,
+                                                mem::HugePolicy policy,
+                                                int lanes) {
+  rt::RuntimeOptions ropt;
+  ropt.lanes = lanes;
+  ropt.layout = mesh::LayoutKind::kVarMajor;
+  ropt.policy = policy;
+  ropt.pool = &pool;
+  return ropt;
+}
+
 /// One arm of the EOS experiment (2-d supernova, EOS instrumented).
 inline ArmResult run_eos_arm(mem::PagePool& pool, mem::HugePolicy policy,
                              int nsteps, int max_level, int sample,
                              int lanes) {
-  rt::RuntimeOptions ropt;
-  ropt.lanes = lanes;
-  ropt.pool = &pool;
-  rt::Runtime runtime(ropt);
+  rt::Runtime runtime(paper_runtime_options(pool, policy, lanes));
   ExperimentArm arm;
 
   sim::SupernovaParams params;
@@ -71,10 +85,7 @@ inline ArmResult run_eos_arm(mem::PagePool& pool, mem::HugePolicy policy,
 inline ArmResult run_hydro_arm(mem::PagePool& pool, mem::HugePolicy policy,
                                int nsteps, int max_level, int sample,
                                int lanes) {
-  rt::RuntimeOptions ropt;
-  ropt.lanes = lanes;
-  ropt.pool = &pool;
-  rt::Runtime runtime(ropt);
+  rt::Runtime runtime(paper_runtime_options(pool, policy, lanes));
   ExperimentArm arm;
 
   sim::SedovParams params;

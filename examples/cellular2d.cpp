@@ -8,43 +8,46 @@
 /// module without building the full supernova.
 ///
 /// Usage: cellular2d [--nsteps=N] [--max_level=L]
-///                   [--policy=none|thp|hugetlbfs] [--par.threads=T]
+///                   [--mem.hpage_type=none|thp|hugetlbfs]
+///                   [--mesh.layout=var_major|zone_major] [--par.threads=T]
+///
+/// The huge-page policy and block layout are the runtime's: the
+/// parameters above, else FLASHHP_HPAGE_TYPE / XOS_MMM_L_HPAGE_TYPE and
+/// FLASHHP_LAYOUT, else none / var_major. A bad value exits with status 2.
 
 #include <iostream>
 
 #include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
+#include "mesh/layout.hpp"
 #include "par/parallel.hpp"
 #include "perf/timers.hpp"
 #include "rt/runtime.hpp"
 #include "sim/cellular.hpp"
 #include "sim/driver.hpp"
+#include "support/error.hpp"
 #include "support/runtime_params.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fhp;
   RuntimeParams rp;
   rp.declare_int("nsteps", 24, "number of time steps");
   rp.declare_int("max_level", 2, "finest AMR level");
-  rp.declare_string("policy", "none", "huge-page policy (none|thp|hugetlbfs)");
   mem::declare_runtime_params(rp);
   par::declare_runtime_params(rp);
   mesh::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
   mem::apply_runtime_params(rp);
-  mesh::apply_runtime_params(rp);
 
-  const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
-  if (!policy) {
-    std::cerr << "bad --policy value\n";
-    return 2;
-  }
-
-  rt::Runtime runtime(rt::RuntimeOptions{.lanes = par::runtime_lanes(rp)});
+  rt::Runtime runtime(rt::RuntimeOptions{.lanes = par::runtime_lanes(rp),
+                                         .layout = mesh::runtime_layout(rp),
+                                         .policy = mem::runtime_policy(rp)});
+  std::cout << "huge-page policy: " << mem::to_string(runtime.huge_policy())
+            << "\n";
 
   sim::CellularParams params;
   params.max_level = static_cast<int>(rp.get_int("max_level"));
-  sim::CellularSetup setup(params, *policy, runtime);
+  sim::CellularSetup setup(params, runtime.huge_policy(), runtime);
 
   std::cout << "unk: " << setup.mesh().unk().region().describe() << "\n";
 
@@ -75,4 +78,7 @@ int main(int argc, char** argv) {
             << " erg\n";
   timers.summary(std::cout);
   return 0;
+} catch (const fhp::ConfigError& e) {
+  std::cerr << "cellular2d: " << e.what() << "\n";
+  return 2;
 }

@@ -5,9 +5,14 @@
 /// position against the analytic similarity solution, and writes the
 /// spherically averaged density/pressure profile to sedov_profile.csv.
 ///
-/// Usage: sedov3d [--nsteps=N] [--max_level=L] [--policy=none|thp|hugetlbfs]
-///                [--par.threads=T] [--obs.timeline=timeline.json]
-///                [--obs.sample_ms=N]
+/// Usage: sedov3d [--nsteps=N] [--max_level=L]
+///                [--mem.hpage_type=none|thp|hugetlbfs]
+///                [--mesh.layout=var_major|zone_major] [--par.threads=T]
+///                [--obs.timeline=timeline.json] [--obs.sample_ms=N]
+///
+/// The huge-page policy and block layout are the runtime's: the
+/// parameters above, else FLASHHP_HPAGE_TYPE / XOS_MMM_L_HPAGE_TYPE and
+/// FLASHHP_LAYOUT, else none / var_major. A bad value exits with status 2.
 ///
 /// With --obs.timeline (or FLASHHP_TELEMETRY=timeline.json) the run is
 /// traced: per-lane spans, step marks, and a background memory/THP
@@ -20,6 +25,7 @@
 
 #include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
+#include "mesh/layout.hpp"
 #include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
@@ -31,14 +37,14 @@
 #include "sim/driver.hpp"
 #include "sim/profiles.hpp"
 #include "sim/sedov.hpp"
+#include "support/error.hpp"
 #include "support/runtime_params.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fhp;
   RuntimeParams rp;
   rp.declare_int("nsteps", 120, "number of time steps");
   rp.declare_int("max_level", 3, "finest AMR level");
-  rp.declare_string("policy", "none", "huge-page policy (none|thp|hugetlbfs)");
   rp.declare_string("outfile", "sedov_profile.csv", "profile output path");
   rp.declare_bool("trace", false, "feed the machine model and print a report");
   mem::declare_runtime_params(rp);
@@ -47,23 +53,19 @@ int main(int argc, char** argv) {
   obs::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
   mem::apply_runtime_params(rp);
-  mesh::apply_runtime_params(rp);
 
-  const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
-  if (!policy) {
-    std::cerr << "bad --policy value\n";
-    return 2;
-  }
-
-  // The execution context: built after the runtime params applied above,
-  // so its layout honors --mesh.layout / FLASHHP_LAYOUT; its lane count
-  // is --par.threads (default FLASHHP_THREADS, else 1).
-  rt::Runtime runtime(rt::RuntimeOptions{.lanes = par::runtime_lanes(rp)});
+  // The execution context decides the lane count, layout and page
+  // policy once, from the runtime params or else the environment.
+  rt::Runtime runtime(rt::RuntimeOptions{.lanes = par::runtime_lanes(rp),
+                                         .layout = mesh::runtime_layout(rp),
+                                         .policy = mem::runtime_policy(rp)});
+  std::cout << "huge-page policy: " << mem::to_string(runtime.huge_policy())
+            << "\n";
 
   sim::SedovParams params;
   params.max_level = static_cast<int>(rp.get_int("max_level"));
   params.maxblocks = 700;
-  sim::SedovSetup setup(params, *policy, runtime);
+  sim::SedovSetup setup(params, runtime.huge_policy(), runtime);
   std::cout << "unk: " << setup.mesh().unk().region().describe() << "\n";
 
   hydro::HydroSolver hydro(setup.mesh(), setup.eos());
@@ -135,4 +137,7 @@ int main(int argc, char** argv) {
   std::cout << "profile written to " << outfile << "\n";
   timers.summary(std::cout);
   return 0;
+} catch (const fhp::ConfigError& e) {
+  std::cerr << "sedov3d: " << e.what() << "\n";
+  return 2;
 }

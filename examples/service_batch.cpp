@@ -10,15 +10,19 @@
 ///
 /// Usage: service_batch [--jobs=N] [--svc.lanes=W] [--svc.quantum=Q]
 ///                      [--policy=none|thp|hugetlbfs]
+///
+/// --policy is the JobSpec policy every tenant is submitted with. A bad
+/// knob exits with status 2.
 
 #include <cstdio>
 #include <vector>
 
 #include "mem/huge_policy.hpp"
+#include "support/error.hpp"
 #include "support/runtime_params.hpp"
 #include "svc/service.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fhp;
   RuntimeParams rp;
   rp.declare_int("jobs", 6, "jobs to submit");
@@ -87,4 +91,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.failed),
               service.workers(), service.quantum_steps());
   return stats.failed == 0 ? 0 : 1;
+} catch (const fhp::ConfigError& e) {
+  std::fprintf(stderr, "service_batch: %s\n", e.what());
+  return 2;
 }

@@ -6,29 +6,34 @@
 /// EOS, ADR flame, and monopole gravity. Reports the burned mass and
 /// nuclear energy release and writes a radial profile of the star.
 ///
-/// Usage: supernova2d [--nsteps=N] [--max_level=L]
-///                    [--policy=none|thp|hugetlbfs] [--rho_c=2e9]
-///                    [--par.threads=T]
+/// Usage: supernova2d [--nsteps=N] [--max_level=L] [--rho_c=2e9]
+///                    [--mem.hpage_type=none|thp|hugetlbfs]
+///                    [--mesh.layout=var_major|zone_major] [--par.threads=T]
+///
+/// The huge-page policy and block layout are the runtime's: the
+/// parameters above, else FLASHHP_HPAGE_TYPE / XOS_MMM_L_HPAGE_TYPE and
+/// FLASHHP_LAYOUT, else none / var_major. A bad value exits with status 2.
 
 #include <fstream>
 #include <iostream>
 
 #include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
+#include "mesh/layout.hpp"
 #include "par/parallel.hpp"
 #include "perf/timers.hpp"
 #include "rt/runtime.hpp"
 #include "sim/driver.hpp"
 #include "sim/profiles.hpp"
 #include "sim/supernova.hpp"
+#include "support/error.hpp"
 #include "support/runtime_params.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fhp;
   RuntimeParams rp;
   rp.declare_int("nsteps", 50, "number of time steps (paper: 50)");
   rp.declare_int("max_level", 4, "finest AMR level");
-  rp.declare_string("policy", "none", "huge-page policy (none|thp|hugetlbfs)");
   rp.declare_real("rho_c", 2.0e9, "central density [g/cc]");
   rp.declare_string("outfile", "wd_profile.csv", "profile output path");
   mem::declare_runtime_params(rp);
@@ -36,25 +41,21 @@ int main(int argc, char** argv) {
   mesh::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
   mem::apply_runtime_params(rp);
-  mesh::apply_runtime_params(rp);
 
-  const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
-  if (!policy) {
-    std::cerr << "bad --policy value\n";
-    return 2;
-  }
-
-  // The execution context: built after the runtime params applied above,
-  // so its layout honors --mesh.layout / FLASHHP_LAYOUT; its lane count
-  // is --par.threads (default FLASHHP_THREADS, else 1).
-  rt::Runtime runtime(rt::RuntimeOptions{.lanes = par::runtime_lanes(rp)});
+  // The execution context decides the lane count, layout and page
+  // policy once, from the runtime params or else the environment.
+  rt::Runtime runtime(rt::RuntimeOptions{.lanes = par::runtime_lanes(rp),
+                                         .layout = mesh::runtime_layout(rp),
+                                         .policy = mem::runtime_policy(rp)});
+  std::cout << "huge-page policy: " << mem::to_string(runtime.huge_policy())
+            << "\n";
 
   sim::SupernovaParams params;
   params.central_density = rp.get_real("rho_c");
   params.max_level = static_cast<int>(rp.get_int("max_level"));
   params.maxblocks = 1500;
   params.table_cache = "helm_table.bin";
-  sim::SupernovaSetup setup(params, *policy, runtime);
+  sim::SupernovaSetup setup(params, runtime.huge_policy(), runtime);
 
   std::cout << "white dwarf: R = " << setup.wd().radius() / 1e5
             << " km, M = " << setup.wd().mass() / 1.98847e33 << " Msun\n";
@@ -102,4 +103,7 @@ int main(int argc, char** argv) {
   std::cout << "profile written to " << outfile << "\n";
   timers.summary(std::cout);
   return 0;
+} catch (const fhp::ConfigError& e) {
+  std::cerr << "supernova2d: " << e.what() << "\n";
+  return 2;
 }

@@ -1,6 +1,5 @@
 #include "mem/huge_policy.hpp"
 
-#include <atomic>
 #include <cstdlib>
 
 #include "mem/page_pool.hpp"
@@ -29,42 +28,28 @@ std::optional<HugePolicy> parse_huge_policy(std::string_view s) {
   return std::nullopt;
 }
 
+namespace {
+HugePolicy parse_or_throw(const std::string& source, std::string_view raw) {
+  const auto parsed = parse_huge_policy(raw);
+  if (!parsed) {
+    throw ConfigError(source + "='" + std::string(raw) +
+                      "' is not a valid page policy "
+                      "(expected none|thp|hugetlbfs)");
+  }
+  return *parsed;
+}
+}  // namespace
+
 HugePolicy policy_from_environment(HugePolicy fallback) {
   for (const char* var : {kPolicyEnvVar, kFujitsuPolicyEnvVar}) {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read once when the page
-    // policy is chosen at startup, single-threaded; nothing calls setenv.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read once per rt::Runtime
+    // construction, which may run on a svc worker thread; nothing
+    // in-process calls setenv.
     if (const char* raw = std::getenv(var); raw != nullptr && *raw != '\0') {
-      const auto parsed = parse_huge_policy(raw);
-      if (!parsed) {
-        throw ConfigError(std::string(var) + "='" + raw +
-                          "' is not a valid page policy "
-                          "(expected none|thp|hugetlbfs)");
-      }
-      return *parsed;
+      return parse_or_throw(var, raw);
     }
   }
   return fallback;
-}
-
-namespace {
-std::atomic<int> g_default_policy{-1};  // -1: not yet initialized
-}
-
-HugePolicy default_policy() {
-  int v = g_default_policy.load(std::memory_order_acquire);
-  if (v < 0) {
-    const HugePolicy env = policy_from_environment(HugePolicy::kNone);
-    v = static_cast<int>(env);
-    int expected = -1;
-    g_default_policy.compare_exchange_strong(expected, v,
-                                             std::memory_order_acq_rel);
-    v = g_default_policy.load(std::memory_order_acquire);
-  }
-  return static_cast<HugePolicy>(v);
-}
-
-void set_default_policy(HugePolicy policy) noexcept {
-  g_default_policy.store(static_cast<int>(policy), std::memory_order_release);
 }
 
 void declare_runtime_params(RuntimeParams& params) {
@@ -78,15 +63,12 @@ void declare_runtime_params(RuntimeParams& params) {
 
 void apply_runtime_params(const RuntimeParams& params) {
   apply_page_pool_params(params);
+}
+
+std::optional<HugePolicy> runtime_policy(const RuntimeParams& params) {
   const std::string value = params.get_string(kPolicyParamName);
-  if (value.empty()) return;
-  const auto parsed = parse_huge_policy(value);
-  if (!parsed) {
-    throw ConfigError(std::string(kPolicyParamName) + "='" + value +
-                      "' is not a valid page policy "
-                      "(expected none|thp|hugetlbfs)");
-  }
-  set_default_policy(*parsed);
+  if (value.empty()) return std::nullopt;
+  return parse_or_throw(kPolicyParamName, value);
 }
 
 }  // namespace fhp::mem

@@ -332,10 +332,6 @@ PoolAllocation PagePool::alloc(std::size_t bytes, HugePolicy policy) {
   return {std::move(region), d};
 }
 
-PoolAllocation PagePool::alloc(std::size_t bytes) {
-  return alloc(bytes, default_policy());
-}
-
 PoolStatus PagePool::status() const {
   MutexLock lock(mutex_);
   PoolStatus s;

@@ -200,9 +200,6 @@ class PagePool {
   /// SystemError from MappedRegion, not a pool bug.
   [[nodiscard]] PoolAllocation alloc(std::size_t bytes, HugePolicy policy);
 
-  /// alloc() with the process default policy.
-  [[nodiscard]] PoolAllocation alloc(std::size_t bytes);
-
   /// Snapshot of state, inventory mirror, and counters. Valid in any
   /// lifecycle state.
   [[nodiscard]] PoolStatus status() const;

@@ -1,9 +1,9 @@
 #include "mesh/layout.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <string>
 
+#include "support/contracts.hpp"
 #include "support/error.hpp"
 #include "support/runtime_params.hpp"
 #include "support/string_util.hpp"
@@ -14,7 +14,6 @@ std::string_view to_string(LayoutKind kind) noexcept {
   switch (kind) {
     case LayoutKind::kVarMajor: return "var_major";
     case LayoutKind::kZoneMajor: return "zone_major";
-    case LayoutKind::kTiled: return "tiled";
   }
   return "?";
 }
@@ -27,78 +26,44 @@ std::optional<LayoutKind> parse_layout(std::string_view s) {
   if (v == "zone_major" || v == "zonemajor" || v == "soa") {
     return LayoutKind::kZoneMajor;
   }
-  if (v == "tiled" || v == "tile") return LayoutKind::kTiled;
   return std::nullopt;
 }
 
+namespace {
+LayoutKind parse_or_throw(const std::string& source, std::string_view raw) {
+  const auto parsed = parse_layout(raw);
+  if (!parsed) {
+    throw ConfigError(source + "='" + std::string(raw) +
+                      "' is not a valid block layout "
+                      "(expected var_major|zone_major)");
+  }
+  return *parsed;
+}
+}  // namespace
+
 LayoutKind layout_from_environment(LayoutKind fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read once at mesh setup,
-  // before any worker threads exist; nothing in-process calls setenv.
+  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read once per rt::Runtime
+  // construction, which may run on a svc worker thread; nothing
+  // in-process calls setenv.
   if (const char* raw = std::getenv(kLayoutEnvVar);
       raw != nullptr && *raw != '\0') {
-    const auto parsed = parse_layout(raw);
-    if (!parsed) {
-      throw ConfigError(std::string(kLayoutEnvVar) + "='" + raw +
-                        "' is not a valid block layout "
-                        "(expected var_major|zone_major|tiled)");
-    }
-    return *parsed;
+    return parse_or_throw(kLayoutEnvVar, raw);
   }
   return fallback;
 }
 
-namespace {
-std::atomic<int> g_default_layout{-1};  // -1: not yet initialized
-}
-
-// Resolution shim behind rt::Runtime's layout snapshot (runtime.cpp is
-// the licensed caller). fhp-lint: allow(singleton-instance)
-LayoutKind default_layout() {
-  int v = g_default_layout.load(std::memory_order_acquire);
-  if (v < 0) {
-    const LayoutKind env = layout_from_environment(LayoutKind::kVarMajor);
-    v = static_cast<int>(env);
-    int expected = -1;
-    g_default_layout.compare_exchange_strong(expected, v,
-                                             std::memory_order_acq_rel);
-    v = g_default_layout.load(std::memory_order_acquire);
-  }
-  return static_cast<LayoutKind>(v);
-}
-
-void set_default_layout(LayoutKind kind) noexcept {
-  g_default_layout.store(static_cast<int>(kind), std::memory_order_release);
-}
-
 void declare_runtime_params(RuntimeParams& params) {
   params.declare_string(kLayoutParamName, "",
-                        "block-data layout (var_major|zone_major|tiled; "
+                        "block-data layout (var_major|zone_major; "
                         "empty: resolve from " +
                             std::string(kLayoutEnvVar) + ")");
 }
 
-void apply_runtime_params(const RuntimeParams& params) {
+std::optional<LayoutKind> runtime_layout(const RuntimeParams& params) {
   const std::string value = params.get_string(kLayoutParamName);
-  if (value.empty()) return;
-  const auto parsed = parse_layout(value);
-  if (!parsed) {
-    throw ConfigError(std::string(kLayoutParamName) + "='" + value +
-                      "' is not a valid block layout "
-                      "(expected var_major|zone_major|tiled)");
-  }
-  set_default_layout(*parsed);
+  if (value.empty()) return std::nullopt;
+  return parse_or_throw(kLayoutParamName, value);
 }
-
-namespace {
-/// Largest edge from {8, 4, 2, 1} dividing the padded extent \p n, so
-/// tiles always partition the block exactly (no padding, no straddling).
-int tile_edge(int n) {
-  for (int e : {8, 4, 2}) {
-    if (n % e == 0) return e;
-  }
-  return 1;
-}
-}  // namespace
 
 BlockLayout::BlockLayout(LayoutKind kind, int nvar, int ni, int nj, int nk)
     : kind_(kind),
@@ -128,14 +93,6 @@ BlockLayout::BlockLayout(LayoutKind kind, int nvar, int ni, int nj, int nk)
       sj_ = niz;
       sk_ = niz * njz;
       sv_ = niz * njz * nkz;
-      break;
-    case LayoutKind::kTiled:
-      ti_ = tile_edge(ni);
-      tj_ = tile_edge(nj);
-      tk_ = tile_edge(nk);
-      ntx_ = ni / ti_;
-      nty_ = nj / tj_;
-      tile_cells_ = static_cast<std::size_t>(ti_) * tj_ * tk_;
       break;
   }
 }

@@ -14,7 +14,8 @@
 ///   |------------|---------------------------------|----------------------|
 ///   | var_major  | v, i, j, k, b (Fortran baseline)| strided by nvar      |
 ///   | zone_major | i, j, k, v, b (block-local SoA) | contiguous           |
-///   | tiled      | i,j,k in tiles; v per tile; b   | contiguous per tile  |
+///
+/// Both are affine, so offset() is one branch-free stride dot product.
 ///
 /// Invariants every layout must satisfy (enforced by test_layout.cpp):
 ///   * bijection: offset() is a bijection from the (v,i,j,k,b) domain onto
@@ -31,13 +32,13 @@
 /// for_each_var_run(): the maximal contiguous runs covering a zone's
 /// variable vector. Under var_major that is one nread*8-byte touch —
 /// byte-for-byte the seed's trace, keeping golden counters bit-identical —
-/// while zone_major/tiled decay to per-variable touches, so modeled DTLB
+/// while zone_major decays to per-variable touches, so modeled DTLB
 /// misses track the real access pattern of each layout.
 ///
-/// Selection mirrors mem::HugePolicy — one resolution order, first hit
-/// wins: explicit set_default_layout() (including the one made by
-/// apply_runtime_params() for a non-empty "mesh.layout"), then the
-/// FLASHHP_LAYOUT environment variable, then kVarMajor.
+/// Selection mirrors mem::HugePolicy and happens in one place, when an
+/// rt::Runtime is built: RuntimeOptions::layout (mains fill it from a
+/// non-empty "mesh.layout" via runtime_layout()), else the
+/// FLASHHP_LAYOUT environment variable, else kVarMajor.
 
 #pragma once
 
@@ -46,22 +47,20 @@
 #include <optional>
 #include <string_view>
 
-#include "support/contracts.hpp"
-
 namespace fhp {
 class RuntimeParams;
 }  // namespace fhp
 
 namespace fhp::mesh {
 
-/// The memory-order policy for block solution data.
+/// The memory-order policy for block solution data. The numeric values
+/// are recorded in checkpoints; never renumber them.
 enum class LayoutKind : std::uint8_t {
-  kVarMajor,   ///< Fortran unk(nvar,i,j,k,blk): variable fastest (baseline)
-  kZoneMajor,  ///< block-local SoA: contiguous per-variable planes
-  kTiled,      ///< zone-major inside cache-sized i x j x k tiles
+  kVarMajor = 0,   ///< Fortran unk(nvar,i,j,k,blk): variable fastest
+  kZoneMajor = 1,  ///< block-local SoA: contiguous per-variable planes
 };
 
-/// Canonical lower-case spelling ("var_major", "zone_major", "tiled").
+/// Canonical lower-case spelling ("var_major", "zone_major").
 [[nodiscard]] std::string_view to_string(LayoutKind kind) noexcept;
 
 /// Parse a layout string (case-insensitive); nullopt if unrecognized.
@@ -70,21 +69,11 @@ enum class LayoutKind : std::uint8_t {
 /// Environment variable honoured by layout_from_environment().
 inline constexpr const char* kLayoutEnvVar = "FLASHHP_LAYOUT";
 
-/// Resolution steps 2-3: FLASHHP_LAYOUT, then \p fallback. Throws
-/// ConfigError on an unparsable value.
+/// FLASHHP_LAYOUT, else \p fallback. Throws ConfigError on an unparsable
+/// value. rt::Runtime calls it once at construction when no layout is
+/// given.
 [[nodiscard]] LayoutKind layout_from_environment(
     LayoutKind fallback = LayoutKind::kVarMajor);
-
-/// Process-wide resolved layout. Lazily initialized via the resolution
-/// order. This is a shim for code outside any runtime: an rt::Runtime
-/// snapshots it (or an explicit override) at construction, and mesh
-/// containers take the layout explicitly. The lint rule
-/// `singleton-instance` bans new call sites outside the shims.
-// fhp-lint: allow(singleton-instance)
-[[nodiscard]] LayoutKind default_layout();
-
-/// Resolution step 1: pin the process-wide default.
-void set_default_layout(LayoutKind kind) noexcept;
 
 /// Name of the runtime parameter declared by declare_runtime_params().
 inline constexpr const char* kLayoutParamName = "mesh.layout";
@@ -92,21 +81,20 @@ inline constexpr const char* kLayoutParamName = "mesh.layout";
 /// Declare "mesh.layout" (default "": defer to the environment).
 void declare_runtime_params(RuntimeParams& params);
 
-/// If "mesh.layout" was set non-empty, parse it (ConfigError on junk) and
-/// pin it via set_default_layout(). Call after apply_command_line().
-void apply_runtime_params(const RuntimeParams& params);
+/// The "mesh.layout" value of \p params for rt::RuntimeOptions::layout:
+/// nullopt when empty (the runtime then reads the environment),
+/// ConfigError on junk. Call after apply_command_line().
+[[nodiscard]] std::optional<LayoutKind> runtime_layout(
+    const RuntimeParams& params);
 
-/// One block-data layout, instantiated for a concrete block shape. The
-/// struct is a vtable-free strategy: var_major and zone_major are affine
-/// (offset = v*sv + i*si + j*sj + k*sk + b*block_stride with precomputed
-/// strides) and tiled adds a tile decomposition; offset() branches on the
-/// kind once, with no virtual dispatch on the at() hot path.
+/// One block-data layout, instantiated for a concrete block shape. Both
+/// kinds are affine — offset = v*sv + i*si + j*sj + k*sk + b*block_stride
+/// with strides precomputed per kind — so the at() hot path is a
+/// branch-free dot product with no virtual dispatch.
 class BlockLayout {
  public:
   /// Build a layout for nvar variables on padded blocks of ni x nj x nk
-  /// zones. Tiled picks, per axis, the largest tile edge from {8,4,2,1}
-  /// that divides the padded extent, so tiles never straddle blocks and
-  /// no padding is introduced (block_stride is identical across kinds).
+  /// zones.
   BlockLayout(LayoutKind kind, int nvar, int ni, int nj, int nk);
 
   [[nodiscard]] LayoutKind kind() const noexcept { return kind_; }
@@ -123,47 +111,11 @@ class BlockLayout {
   /// Flat offset of (v, i, j, k, b) in doubles from the arena base.
   [[nodiscard]] std::size_t offset(int v, int i, int j, int k,
                                    int b) const noexcept {
-    const auto vz = static_cast<std::size_t>(v);
-    const auto bz = static_cast<std::size_t>(b);
-    if (kind_ != LayoutKind::kTiled) {
-      return vz * sv_ + static_cast<std::size_t>(i) * si_ +
-             static_cast<std::size_t>(j) * sj_ +
-             static_cast<std::size_t>(k) * sk_ + bz * block_stride_;
-    }
-    const auto io = static_cast<std::size_t>(i % ti_);
-    const auto jo = static_cast<std::size_t>(j % tj_);
-    const auto ko = static_cast<std::size_t>(k % tk_);
-    const auto tile =
-        static_cast<std::size_t>((i / ti_) +
-                                 ntx_ * ((j / tj_) + nty_ * (k / tk_)));
-    return io +
-           static_cast<std::size_t>(ti_) *
-               (jo + static_cast<std::size_t>(tj_) *
-                         (ko + static_cast<std::size_t>(tk_) * vz)) +
-           tile_cells_ * static_cast<std::size_t>(nvar_) * tile +
-           bz * block_stride_;
-  }
-
-  /// True when offset() is affine in all five indices (var_major,
-  /// zone_major). Tiled offsets are piecewise affine: zone_stride() and
-  /// var_stride() are only meaningful for affine layouts.
-  [[nodiscard]] bool affine() const noexcept {
-    return kind_ != LayoutKind::kTiled;
-  }
-
-  /// Distance in doubles between a zone and its neighbour along \p axis
-  /// (0=i, 1=j, 2=k) at fixed variable. Affine layouts only.
-  [[nodiscard]] std::size_t zone_stride(int axis) const noexcept {
-    FHP_PRECONDITION(affine(), "zone_stride is defined for affine layouts");
-    FHP_PRECONDITION(axis >= 0 && axis <= 2, "axis must be 0, 1 or 2");
-    return axis == 0 ? si_ : axis == 1 ? sj_ : sk_;
-  }
-
-  /// Distance in doubles between consecutive variables of one zone.
-  /// Affine layouts only (1 for var_major, ni*nj*nk for zone_major).
-  [[nodiscard]] std::size_t var_stride() const noexcept {
-    FHP_PRECONDITION(affine(), "var_stride is defined for affine layouts");
-    return sv_;
+    return static_cast<std::size_t>(v) * sv_ +
+           static_cast<std::size_t>(i) * si_ +
+           static_cast<std::size_t>(j) * sj_ +
+           static_cast<std::size_t>(k) * sk_ +
+           static_cast<std::size_t>(b) * block_stride_;
   }
 
   /// True when a zone's variable vector [0, nvar) is contiguous in
@@ -176,8 +128,8 @@ class BlockLayout {
   /// Enumerate the maximal contiguous runs that cover variables
   /// [v0, v0+count) of zone (i,j,k,b), calling fn(offset, run_length) for
   /// each. var_major yields one run of `count` (byte-identical to the
-  /// seed's contiguous touch); zone_major and tiled yield `count` runs of
-  /// one double each. This is the tracer's window into the layout.
+  /// seed's contiguous touch); zone_major yields `count` runs of one
+  /// double each. This is the tracer's window into the layout.
   template <typename Fn>
   void for_each_var_run(int v0, int count, int i, int j, int k, int b,
                         Fn&& fn) const {
@@ -214,14 +166,8 @@ class BlockLayout {
   LayoutKind kind_;
   int nvar_, ni_, nj_, nk_;
   std::size_t block_stride_;
-  // Affine strides (doubles). Valid for var_major / zone_major; for tiled
-  // they are unused and offset() takes the tile path instead.
+  // Strides in doubles of the variable and the three zone axes.
   std::size_t sv_ = 0, si_ = 0, sj_ = 0, sk_ = 0;
-  // Tile decomposition (tiled only): edge lengths, tile counts per axis,
-  // zones per tile.
-  int ti_ = 1, tj_ = 1, tk_ = 1;
-  int ntx_ = 1, nty_ = 1;
-  std::size_t tile_cells_ = 1;
 };
 
 }  // namespace fhp::mesh

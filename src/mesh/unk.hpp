@@ -141,7 +141,7 @@ class UnkContainer {
   /// variable vector is touched as the maximal contiguous runs the active
   /// layout provides: one nread*8-byte touch under var_major (FLASH
   /// kernels read unk(:, i, j, k) vectors — the canonical strided pattern
-  /// of the paper), per-variable touches under zone_major/tiled.
+  /// of the paper), per-variable touches under zone_major.
   void trace_sweep(tlb::Tracer& tracer, int b, int ilo, int ihi, int jlo,
                    int jhi, int klo, int khi, int nread, int nwrite) const {
     trace_sweep_axis(tracer, b, 0, ilo, ihi, jlo, jhi, klo, khi, nread,

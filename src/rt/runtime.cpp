@@ -8,16 +8,14 @@ Runtime::Runtime(RuntimeOptions options)
                                           : nullptr),
       pool_(options.pool != nullptr ? options.pool : owned_pool_.get()),
       arena_(std::make_unique<par::ExecArena>(options.lanes)),
-      // Resolved once: later set_default_* calls (or environment changes)
-      // cannot skew a constructed tenant. The process defaults are read
-      // only when no override is given (a bad FLASHHP_LAYOUT must not
-      // fail a runtime that names its layout).
-      layout_(options.layout.has_value()
-                  ? *options.layout
-                  // fhp-lint: allow(singleton-instance) -- read once, here
-                  : mesh::default_layout()),
+      // Resolved once: later environment changes cannot skew a
+      // constructed tenant. The environment is read only when no value
+      // is given (a bad FLASHHP_LAYOUT must not fail a runtime that names
+      // its layout).
+      layout_(options.layout.has_value() ? *options.layout
+                                         : mesh::layout_from_environment()),
       policy_(options.policy.has_value() ? *options.policy
-                                         : mem::default_policy()),
+                                         : mem::policy_from_environment()),
       log_tag_(std::move(options.log_tag)) {
   env_.log_tag = log_tag_.empty() ? nullptr : log_tag_.c_str();
   arena_->set_lane_env(&env_);

@@ -20,9 +20,10 @@
 ///     concurrent runtimes never trip each other's nested-region
 ///     ConfigError,
 ///   - the resolved mesh::LayoutKind / mem::HugePolicy configuration,
-///     fixed at construction (explicit override, else the process
-///     resolution order: runtime params / environment / built-in
-///     default, read once),
+///     fixed at construction: the explicit option (which mains fill from
+///     the mesh.layout / mem.hpage_type runtime params), else the
+///     environment, else var_major / kNone. This is the one place a
+///     tenant's layout and page policy are decided,
 ///   - the trace sink and log tag its driver thread and pool lanes bind
 ///     while working (see trace::SinkBinding and fhp::LogTagScope).
 ///
@@ -53,18 +54,19 @@ namespace fhp::rt {
 
 /// Construction-time configuration for a Runtime. Every default is
 /// resolved once, at construction: 0 lanes = FLASHHP_THREADS, else 1;
-/// nullopt layout/policy = the mesh/mem resolution orders; null pool = a
-/// private pool auto-initialized from the environment on first
-/// allocation.
+/// nullopt layout/policy = the environment, else var_major / kNone;
+/// null pool = a private pool auto-initialized from the environment on
+/// first allocation.
 struct RuntimeOptions {
   /// Lane count for this runtime's ExecArena; 0 = FLASHHP_THREADS,
   /// else 1, read once at construction.
   int lanes = 0;
-  /// Block-data layout; nullopt = snapshot the process resolution order
-  /// (set_default_layout / FLASHHP_LAYOUT / var_major) at construction.
+  /// Block-data layout; nullopt = FLASHHP_LAYOUT, else var_major, read
+  /// once at construction. Mains pass mesh::runtime_layout(params).
   std::optional<mesh::LayoutKind> layout;
-  /// Huge-page policy; nullopt = snapshot the process resolution order
-  /// (set_default_policy / FLASHHP_HPAGE_TYPE / kNone) at construction.
+  /// Huge-page policy; nullopt = FLASHHP_HPAGE_TYPE, else
+  /// XOS_MMM_L_HPAGE_TYPE, else kNone, read once at construction. Mains
+  /// pass mem::runtime_policy(params).
   std::optional<mem::HugePolicy> policy;
   /// Non-null: carve from this shared pool instead of a private one.
   /// The pool must outlive the runtime.

@@ -17,8 +17,13 @@ namespace {
 // order via gather/scatter regardless of the in-memory BlockLayout, and
 // the writer's layout kind is recorded in the header — informational
 // provenance only, so a checkpoint written under var_major restores
-// exactly under zone_major or tiled.
+// exactly under zone_major.
 constexpr char kMagic[8] = {'F', 'H', 'P', 'C', 'K', 'P', 'T', '3'};
+
+// Highest layout id a format-3 writer ever recorded: 0 var_major,
+// 1 zone_major, 2 the since-removed tiled layout. The id is provenance
+// only, so files written under tiled stay readable.
+constexpr std::int32_t kMaxRecordedLayoutId = 2;
 
 /// The config fields that must match for a restart to make sense.
 struct ConfigRecord {
@@ -139,9 +144,7 @@ CheckpointInfo read_checkpoint(const std::string& path,
 
   std::int32_t stored_layout = 0;
   read_pod(in, stored_layout);
-  FHP_REQUIRE(stored_layout >= 0 &&
-                  stored_layout <=
-                      static_cast<std::int32_t>(mesh::LayoutKind::kTiled),
+  FHP_REQUIRE(stored_layout >= 0 && stored_layout <= kMaxRecordedLayoutId,
               "checkpoint '" + path + "' carries an unknown block layout");
 
   CheckpointInfo info;

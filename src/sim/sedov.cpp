@@ -22,8 +22,7 @@ using mesh::var::kVely;
 using mesh::var::kVelz;
 
 SedovSetup::SedovSetup(const SedovParams& params, mem::HugePolicy policy,
-                       rt::Runtime& runtime,
-                       std::optional<mesh::LayoutKind> layout)
+                       rt::Runtime& runtime)
     : params_(params), eos_(params.gamma) {
   mesh::MeshConfig config;
   config.ndim = params.ndim;
@@ -39,9 +38,9 @@ SedovSetup::SedovSetup(const SedovParams& params, mem::HugePolicy policy,
   config.nroot = {1, 1, 1};
   config.geometry = mesh::Geometry::kCartesian;
   // FLASH's sedov.par uses outflow on every face.
-  mesh_ = std::make_unique<mesh::AmrMesh>(
-      config, policy, layout.has_value() ? *layout : runtime.layout(),
-      runtime.page_pool(), &runtime.arena());
+  mesh_ = std::make_unique<mesh::AmrMesh>(config, policy, runtime.layout(),
+                                          runtime.page_pool(),
+                                          &runtime.arena());
   initialize();
 }
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "eos/eos_table.hpp"
 #include "flame/adr.hpp"
@@ -21,7 +20,6 @@
 #include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
 #include "mesh/amr_mesh.hpp"
-#include "mesh/layout.hpp"
 #include "rt/runtime.hpp"
 
 namespace fhp::sim {
@@ -63,13 +61,10 @@ class SupernovaSetup {
  public:
   /// \param runtime the execution context the problem lives in: mesh and
   ///        Helm-table storage come from `runtime.page_pool()`, block
-  ///        loops run on `runtime.arena()`, and the mesh layout defaults
-  ///        to `runtime.layout()`. The runtime must outlive the setup.
-  /// \param layout overrides the runtime's layout (layout-ablation
-  ///        benches sweep this without building a runtime per point).
+  ///        loops run on `runtime.arena()`, and the mesh layout is
+  ///        `runtime.layout()`. The runtime must outlive the setup.
   SupernovaSetup(const SupernovaParams& params, mem::HugePolicy policy,
-                 rt::Runtime& runtime,
-                 std::optional<mesh::LayoutKind> layout = std::nullopt);
+                 rt::Runtime& runtime);
 
   [[nodiscard]] mesh::AmrMesh& mesh() noexcept { return *mesh_; }
   [[nodiscard]] const eos::HelmTableEos& eos() const noexcept { return *eos_; }

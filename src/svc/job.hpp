@@ -94,8 +94,8 @@ struct JobSpec {
   /// of 1 runs each tenant serially on its worker thread — throughput
   /// comes from concurrent tenants, not intra-tenant parallelism.
   int lanes = 1;
-  /// Block-data layout; nullopt = the tenant Runtime snapshots the
-  /// process resolution order.
+  /// Block-data layout; nullopt = the tenant Runtime reads
+  /// FLASHHP_LAYOUT (else var_major) when it is built.
   std::optional<mesh::LayoutKind> layout;
   /// Huge-page policy for the tenant's mesh (and table) storage.
   mem::HugePolicy policy = mem::HugePolicy::kNone;

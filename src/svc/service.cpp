@@ -54,7 +54,7 @@ PoolSummary counter_delta(const mem::PoolCounters& before,
 }
 
 /// Everything one admitted job owns while it runs: its Runtime (private
-/// perf context, arena, layout snapshot; block storage carved from the
+/// perf context, arena, resolved layout; block storage carved from the
 /// service's shared pool), its setup, solver and driver. Declaration
 /// order is the destruction contract: the runtime outlives the setup,
 /// mesh and driver built on it, and the telemetry (installed on the

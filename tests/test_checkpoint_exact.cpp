@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 
 #include "eos/gamma_eos.hpp"
@@ -18,13 +19,15 @@
 #include "sim/sedov.hpp"
 #include "sim/sedov_exact.hpp"
 #include "support/error.hpp"
+#include "scratch_dir.hpp"
 
 namespace fhp::sim {
 namespace {
 
 // Each test builds its own rt::Runtime: these tests exercise checkpoint
 // round-trips, not multi-tenancy (tests/test_runtime.cpp covers runtimes
-// side by side).
+// side by side). Checkpoint files go to the fixture's scratch directory,
+// removed when the test ends.
 
 using mesh::var::kDens;
 using mesh::var::kEner;
@@ -111,7 +114,17 @@ void paint(mesh::AmrMesh& m) {
   }
 }
 
-TEST(CheckpointTest, RoundTripRestoresTopologyAndData) {
+class CheckpointTest : public ::testing::Test {
+ protected:
+  [[nodiscard]] std::string path(const std::string& name) const {
+    return scratch_.file(name);
+  }
+
+ private:
+  test::ScratchDir scratch_;
+};
+
+TEST_F(CheckpointTest, RoundTripRestoresTopologyAndData) {
   rt::Runtime runtime;
   mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone,
                          runtime.layout(), runtime.page_pool(),
@@ -122,13 +135,13 @@ TEST(CheckpointTest, RoundTripRestoresTopologyAndData) {
   paint(original);
   original.fill_guardcells();
 
-  write_checkpoint("ckpt_roundtrip.bin", original, {0.125, 42});
+  write_checkpoint(path("ckpt_roundtrip.bin"), original, {0.125, 42});
 
   mesh::AmrMesh restored(ckpt_config(), mem::HugePolicy::kNone,
                          runtime.layout(), runtime.page_pool(),
                          &runtime.arena());
   const CheckpointInfo info =
-      read_checkpoint("ckpt_roundtrip.bin", restored);
+      read_checkpoint(path("ckpt_roundtrip.bin"), restored);
   EXPECT_DOUBLE_EQ(info.sim_time, 0.125);
   EXPECT_EQ(info.step, 42);
 
@@ -151,7 +164,7 @@ TEST(CheckpointTest, RoundTripRestoresTopologyAndData) {
   }
 }
 
-TEST(CheckpointTest, RestartContinuesBitExactly) {
+TEST_F(CheckpointTest, RestartContinuesBitExactly) {
   rt::Runtime runtime;
   // Run A: 8 Sod-like steps straight through. Run B: 4 steps, checkpoint,
   // restore into a fresh mesh, 4 more. The results must agree bit for bit
@@ -188,12 +201,12 @@ TEST(CheckpointTest, RestartContinuesBitExactly) {
   {
     hydro::HydroSolver solver_b(*run_b, gamma);
     for (int n = 0; n < 4; ++n) solver_b.step(1e-3);
-    write_checkpoint("ckpt_restart.bin", *run_b, {4e-3, 4});
+    write_checkpoint(path("ckpt_restart.bin"), *run_b, {4e-3, 4});
   }
   auto run_c = std::make_unique<mesh::AmrMesh>(
       ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
       runtime.page_pool(), &runtime.arena());
-  read_checkpoint("ckpt_restart.bin", *run_c);
+  read_checkpoint(path("ckpt_restart.bin"), *run_c);
   hydro::HydroSolver solver_c(*run_c, gamma);
   // Match run A's sweep-order phase (4 steps already taken).
   for (int n = 0; n < 4; ++n) solver_c.step(1e-3);
@@ -210,53 +223,67 @@ TEST(CheckpointTest, RestartContinuesBitExactly) {
   }
 }
 
-TEST(CheckpointTest, ConfigMismatchRejected) {
+TEST_F(CheckpointTest, ConfigMismatchRejected) {
   rt::Runtime runtime;
   mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone,
                          runtime.layout(), runtime.page_pool(),
                          &runtime.arena());
   paint(original);
-  write_checkpoint("ckpt_mismatch.bin", original, {});
+  write_checkpoint(path("ckpt_mismatch.bin"), original, {});
 
   mesh::MeshConfig other = ckpt_config();
   other.nscalars = 2;  // different layout
   mesh::AmrMesh wrong(other, mem::HugePolicy::kNone, runtime.layout(),
                       runtime.page_pool(), &runtime.arena());
-  EXPECT_THROW(read_checkpoint("ckpt_mismatch.bin", wrong), ConfigError);
+  EXPECT_THROW(read_checkpoint(path("ckpt_mismatch.bin"), wrong),
+               ConfigError);
 }
 
-TEST(CheckpointTest, MissingAndCorruptFilesRejected) {
+TEST_F(CheckpointTest, MissingAndCorruptFilesRejected) {
   rt::Runtime runtime;
   mesh::AmrMesh m(ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
                   runtime.page_pool(), &runtime.arena());
-  EXPECT_THROW(read_checkpoint("nonexistent.bin", m), SystemError);
+  EXPECT_THROW(read_checkpoint(path("nonexistent.bin"), m), SystemError);
   // A file with the wrong magic is rejected before any topology change.
-  std::FILE* f = std::fopen("ckpt_garbage.bin", "wb");
+  std::FILE* f = std::fopen(path("ckpt_garbage.bin").c_str(), "wb");
   std::fputs("not a checkpoint at all, sorry", f);
   std::fclose(f);
-  EXPECT_THROW(read_checkpoint("ckpt_garbage.bin", m), ConfigError);
+  EXPECT_THROW(read_checkpoint(path("ckpt_garbage.bin"), m), ConfigError);
 }
 
-TEST(CheckpointTest, RequiresAFreshMesh) {
+TEST_F(CheckpointTest, RequiresAFreshMesh) {
   rt::Runtime runtime;
   mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone,
                          runtime.layout(), runtime.page_pool(),
                          &runtime.arena());
   paint(original);
-  write_checkpoint("ckpt_fresh.bin", original, {});
+  write_checkpoint(path("ckpt_fresh.bin"), original, {});
 
   mesh::AmrMesh busy(ckpt_config(), mem::HugePolicy::kNone,
                      runtime.layout(), runtime.page_pool(), &runtime.arena());
   busy.refine_block(0);  // not fresh any more
-  EXPECT_THROW(read_checkpoint("ckpt_fresh.bin", busy), ConfigError);
+  EXPECT_THROW(read_checkpoint(path("ckpt_fresh.bin"), busy), ConfigError);
 }
 
 // ------------------------------------------- untrusted checkpoint fields
 
-/// The bytes of a checkpoint of ckpt_config() with root 0 refined once,
-/// and the offset of its leaf table: the int64 leaf count (5), then one
-/// {level, x, y, z} int32 record per leaf, coarse to fine — the
-/// unrefined root {1, 1, 0, 0} first, the four level-2 leaves after it.
+/// ckpt_config() with root 0 refined once, painted.
+std::unique_ptr<mesh::AmrMesh> refined_once(rt::Runtime& runtime,
+                                            mesh::LayoutKind layout) {
+  auto m = std::make_unique<mesh::AmrMesh>(
+      ckpt_config(), mem::HugePolicy::kNone, layout, runtime.page_pool(),
+      &runtime.arena());
+  m->refine_block(0);
+  paint(*m);
+  return m;
+}
+
+/// The bytes of a checkpoint of refined_once() and the offset of its
+/// leaf table: the int64 leaf count (5), then one {level, x, y, z} int32
+/// record per leaf, coarse to fine — the unrefined root {1, 1, 0, 0}
+/// first, the four level-2 leaves after it. The header in front of the
+/// count ends with the int32 layout id, the double time and the int64
+/// step.
 struct LeafTable {
   std::string bytes;
   std::size_t count_at = std::string::npos;
@@ -265,18 +292,22 @@ struct LeafTable {
     return count_at + sizeof(std::int64_t) +
            static_cast<std::size_t>(n) * 4 * sizeof(std::int32_t);
   }
+  [[nodiscard]] std::size_t layout_at() const {
+    return count_at - sizeof(std::int64_t) - sizeof(double) -
+           sizeof(std::int32_t);
+  }
   template <typename T>
   void patch(std::size_t at, T value) {
     std::memcpy(bytes.data() + at, &value, sizeof value);
   }
+  void write(const std::string& path) const {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
 };
 
 LeafTable leaf_table(rt::Runtime& runtime, const std::string& path) {
-  mesh::AmrMesh m(ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
-                  runtime.page_pool(), &runtime.arena());
-  m.refine_block(0);
-  paint(m);
-  write_checkpoint(path, m, {});
+  write_checkpoint(path, *refined_once(runtime, runtime.layout()), {});
   std::ifstream in(path, std::ios::binary);
   LeafTable t;
   t.bytes.assign(std::istreambuf_iterator<char>(in),
@@ -294,10 +325,7 @@ LeafTable leaf_table(rt::Runtime& runtime, const std::string& path) {
 /// replay touches the fresh mesh: it keeps its two roots.
 void expect_rejected(rt::Runtime& runtime, const LeafTable& t,
                      const std::string& path, const std::string& what) {
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(t.bytes.data(), static_cast<std::streamsize>(t.bytes.size()));
-  }
+  t.write(path);
   mesh::AmrMesh fresh(ckpt_config(), mem::HugePolicy::kNone,
                       runtime.layout(), runtime.page_pool(),
                       &runtime.arena());
@@ -306,34 +334,34 @@ void expect_rejected(rt::Runtime& runtime, const LeafTable& t,
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, LeafCountOutsideMaxblocksRejected) {
+TEST_F(CheckpointTest, LeafCountOutsideMaxblocksRejected) {
   rt::Runtime runtime;
-  const std::string path = "ckpt_bad_count.bin";
+  const std::string file = path("ckpt_bad_count.bin");
   // ckpt_config().maxblocks is 128.
   for (const std::int64_t count : {0, -1, 129}) {
-    LeafTable t = leaf_table(runtime, path);
+    LeafTable t = leaf_table(runtime, file);
     ASSERT_NE(t.count_at, std::string::npos);
     t.patch(t.count_at, count);
-    expect_rejected(runtime, t, path, "count " + std::to_string(count));
+    expect_rejected(runtime, t, file, "count " + std::to_string(count));
   }
 }
 
-TEST(CheckpointTest, LeafLevelOutsideRangeRejected) {
+TEST_F(CheckpointTest, LeafLevelOutsideRangeRejected) {
   rt::Runtime runtime;
-  const std::string path = "ckpt_bad_level.bin";
+  const std::string file = path("ckpt_bad_level.bin");
   // ckpt_config().max_level is 3; 33 would shift an int32 by 32. The bad
   // record is the last one, so every earlier record is valid.
   for (const std::int32_t level : {0, -1, 4, 33}) {
-    LeafTable t = leaf_table(runtime, path);
+    LeafTable t = leaf_table(runtime, file);
     ASSERT_NE(t.count_at, std::string::npos);
     t.patch(t.record_at(4), level);
-    expect_rejected(runtime, t, path, "level " + std::to_string(level));
+    expect_rejected(runtime, t, file, "level " + std::to_string(level));
   }
 }
 
-TEST(CheckpointTest, LeafCoordinateOutsideItsLevelRejected) {
+TEST_F(CheckpointTest, LeafCoordinateOutsideItsLevelRejected) {
   rt::Runtime runtime;
-  const std::string path = "ckpt_bad_coord.bin";
+  const std::string file = path("ckpt_bad_coord.bin");
   // The last record is a level-2 leaf: x in [0, 4), y in [0, 2), and the
   // 2-d mesh has z == 0 only.
   const struct {
@@ -341,14 +369,61 @@ TEST(CheckpointTest, LeafCoordinateOutsideItsLevelRejected) {
     std::int32_t value;
   } cases[] = {{0, 4}, {0, -1}, {1, 2}, {2, 1}};
   for (const auto& bad : cases) {
-    LeafTable t = leaf_table(runtime, path);
+    LeafTable t = leaf_table(runtime, file);
     ASSERT_NE(t.count_at, std::string::npos);
     t.patch(t.record_at(4) + sizeof(std::int32_t) *
                                  static_cast<std::size_t>(1 + bad.axis),
             bad.value);
-    expect_rejected(runtime, t, path,
+    expect_rejected(runtime, t, file,
                     "axis " + std::to_string(bad.axis) + " coordinate " +
                         std::to_string(bad.value));
+  }
+}
+
+TEST_F(CheckpointTest, RemovedTiledLayoutIdStillRestoresExactly) {
+  // The header's layout id is provenance only: id 2, which the removed
+  // tiled layout recorded, restores bit-identically into every layout.
+  rt::Runtime runtime;
+  const std::string file = path("ckpt_tiled_id.bin");
+  LeafTable t = leaf_table(runtime, file);
+  ASSERT_NE(t.count_at, std::string::npos);
+  std::int32_t recorded = -1;
+  std::memcpy(&recorded, t.bytes.data() + t.layout_at(), sizeof recorded);
+  ASSERT_EQ(recorded, static_cast<std::int32_t>(runtime.layout()));
+  t.patch(t.layout_at(), std::int32_t{2});
+  t.write(file);
+
+  const auto original = refined_once(runtime, runtime.layout());
+  const mesh::MeshConfig& c = original->config();
+  for (const mesh::LayoutKind reader :
+       {mesh::LayoutKind::kVarMajor, mesh::LayoutKind::kZoneMajor}) {
+    mesh::AmrMesh restored(ckpt_config(), mem::HugePolicy::kNone, reader,
+                           runtime.page_pool(), &runtime.arena());
+    read_checkpoint(file, restored);
+    ASSERT_EQ(restored.tree().leaves_morton(),
+              original->tree().leaves_morton());
+    for (int b : original->tree().leaves_morton()) {
+      for (int j = c.jlo(); j < c.jhi(); ++j) {
+        for (int i = c.ilo(); i < c.ihi(); ++i) {
+          for (int v = 0; v < c.nvar(); ++v) {
+            ASSERT_EQ(restored.unk().at(v, i, j, 0, b),
+                      original->unk().at(v, i, j, 0, b))
+                << mesh::to_string(reader);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(CheckpointTest, UnknownLayoutIdRejected) {
+  rt::Runtime runtime;
+  const std::string file = path("ckpt_bad_layout.bin");
+  for (const std::int32_t id : {3, -1}) {
+    LeafTable t = leaf_table(runtime, file);
+    ASSERT_NE(t.count_at, std::string::npos);
+    t.patch(t.layout_at(), id);
+    expect_rejected(runtime, t, file, "layout id " + std::to_string(id));
   }
 }
 

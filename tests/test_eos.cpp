@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "eos/eos_table.hpp"
 #include "eos/fermi_dirac.hpp"
@@ -15,6 +17,7 @@
 #include "support/constants.hpp"
 #include "support/error.hpp"
 #include "tlb/machine.hpp"
+#include "scratch_dir.hpp"
 
 namespace fhp::eos {
 namespace {
@@ -308,15 +311,18 @@ TEST(HelmholtzEosTest, Gamma1BetweenLimits) {
 
 // ---------------------------------------------------------------- table
 
-/// Small shared table for the table tests (built once, on a pool that
-/// outlives it).
-const HelmTable& test_table() {
+/// Small shared table for the table tests, built once per process on a
+/// pool that outlives it. It is not cached on disk: tests leave no files
+/// behind.
+std::shared_ptr<const HelmTable> shared_test_table() {
   static mem::PagePool pool;
-  static HelmTable table = HelmTable::build_or_load(
-      HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      pool, "helm_table_test.bin");
+  static const auto table = std::make_shared<const HelmTable>(
+      HelmTable::build(HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51},
+                       mem::HugePolicy::kNone, pool));
   return table;
 }
+
+const HelmTable& test_table() { return *shared_test_table(); }
 
 TEST(HelmTableTest, InterpolationMatchesDirectEvaluation) {
   const HelmholtzEos direct;
@@ -368,12 +374,14 @@ TEST(HelmTableTest, OutOfRangeThrows) {
 
 TEST(HelmTableTest, SaveLoadRoundTrip) {
   rt::Runtime runtime;
+  const test::ScratchDir scratch;
+  const std::string file = scratch.file("helm_roundtrip.bin");
   const HelmTableSpec spec{-2.0, 8.0, 21, 6.0, 9.0, 11};
   HelmTable built =
       HelmTable::build(spec, mem::HugePolicy::kNone, runtime.page_pool());
-  built.save("helm_roundtrip.bin");
+  built.save(file);
   auto loaded = HelmTable::load(spec, mem::HugePolicy::kNone,
-                                runtime.page_pool(), "helm_roundtrip.bin");
+                                runtime.page_pool(), file);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->node(HelmTable::kP, 10, 5),
             built.node(HelmTable::kP, 10, 5));
@@ -381,8 +389,7 @@ TEST(HelmTableTest, SaveLoadRoundTrip) {
   HelmTableSpec other = spec;
   other.nrho = 22;
   EXPECT_FALSE(
-      HelmTable::load(other, mem::HugePolicy::kNone, runtime.page_pool(),
-                      "helm_roundtrip.bin")
+      HelmTable::load(other, mem::HugePolicy::kNone, runtime.page_pool(), file)
           .has_value());
 }
 
@@ -397,10 +404,7 @@ TEST(HelmTableTest, TraceTouchesTableBytes) {
 }
 
 TEST(HelmTableEosTest, MatchesDirectEosThroughAssembly) {
-  rt::Runtime runtime;
-  auto table = std::make_shared<HelmTable>(HelmTable::build_or_load(
-      HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      runtime.page_pool(), "helm_table_test.bin"));
+  const auto table = shared_test_table();
   const HelmTableEos tabulated(table);
   const HelmholtzEos direct;
 
@@ -418,10 +422,7 @@ TEST(HelmTableEosTest, MatchesDirectEosThroughAssembly) {
 }
 
 TEST(HelmTableEosTest, InversionRoundTripThroughTable) {
-  rt::Runtime runtime;
-  auto table = std::make_shared<HelmTable>(HelmTable::build_or_load(
-      HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      runtime.page_pool(), "helm_table_test.bin"));
+  const auto table = shared_test_table();
   const HelmTableEos eos(table);
   State s;
   s.abar = 13.714;
@@ -436,10 +437,7 @@ TEST(HelmTableEosTest, InversionRoundTripThroughTable) {
 }
 
 TEST(HelmTableEosTest, TemperatureFloorClampsInsteadOfThrowing) {
-  rt::Runtime runtime;
-  auto table = std::make_shared<HelmTable>(HelmTable::build_or_load(
-      HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      runtime.page_pool(), "helm_table_test.bin"));
+  const auto table = shared_test_table();
   const HelmTableEos eos(table);
   State s;
   s.abar = 13.714;

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "support/runtime_params.hpp"
 #include "tlb/machine.hpp"
 #include "tlb/trace.hpp"
+#include "scratch_dir.hpp"
 
 namespace fhp {
 namespace {
@@ -47,8 +49,7 @@ using mesh::MeshConfig;
 using mesh::UnkContainer;
 
 constexpr LayoutKind kAllLayouts[] = {LayoutKind::kVarMajor,
-                                      LayoutKind::kZoneMajor,
-                                      LayoutKind::kTiled};
+                                      LayoutKind::kZoneMajor};
 
 // ----------------------------------------------------------- selection
 
@@ -60,21 +61,24 @@ TEST(LayoutSelect, ParseAndToStringRoundTrip) {
   }
   EXPECT_EQ(mesh::parse_layout("  SoA "), LayoutKind::kZoneMajor);
   EXPECT_EQ(mesh::parse_layout("Fortran"), LayoutKind::kVarMajor);
-  EXPECT_EQ(mesh::parse_layout("TILE"), LayoutKind::kTiled);
+  EXPECT_FALSE(mesh::parse_layout("tiled").has_value());  // removed
   EXPECT_FALSE(mesh::parse_layout("diagonal").has_value());
   EXPECT_FALSE(mesh::parse_layout("").has_value());
 }
 
-TEST(LayoutSelect, RuntimeParamPinsTheProcessDefault) {
+TEST(LayoutSelect, RuntimeParamBecomesTheRuntimeLayout) {
   RuntimeParams rp;
   mesh::declare_runtime_params(rp);
+  EXPECT_EQ(mesh::runtime_layout(rp), std::nullopt);  // defer to the env
   rp.set_from_string(mesh::kLayoutParamName, "zone_major");
-  mesh::apply_runtime_params(rp);
-  EXPECT_EQ(mesh::default_layout(), LayoutKind::kZoneMajor);
-  rp.set_from_string(mesh::kLayoutParamName, "junk");
-  EXPECT_THROW(mesh::apply_runtime_params(rp), ConfigError);
-  // Restore the environment-resolved default for other tests.
-  mesh::set_default_layout(mesh::layout_from_environment());
+  const rt::Runtime runtime(
+      rt::RuntimeOptions{.layout = mesh::runtime_layout(rp)});
+  EXPECT_EQ(runtime.layout(), LayoutKind::kZoneMajor);
+  for (const char* junk : {"junk", "tiled"}) {
+    rp.set_from_string(mesh::kLayoutParamName, junk);
+    EXPECT_THROW(static_cast<void>(mesh::runtime_layout(rp)), ConfigError)
+        << junk;
+  }
 }
 
 // ------------------------------------------------------------ the map
@@ -132,37 +136,34 @@ TEST(LayoutMap, VarMajorMatchesTheFortranFormula) {
 }
 
 TEST(LayoutMap, AffineStridesMatchOffsetDeltas) {
+  // Every layout is affine: a unit step along any index moves the offset
+  // by that index's constant stride, wherever the step starts.
   const int nvar = 6, ni = 12, nj = 10, nk = 6;
-  for (const LayoutKind kind :
-       {LayoutKind::kVarMajor, LayoutKind::kZoneMajor}) {
+  struct Strides {
+    std::size_t v, i, j, k;
+  };
+  const auto plane = static_cast<std::size_t>(ni) * nj * nk;
+  const auto nv = static_cast<std::size_t>(nvar);
+  // The Fortran pencil strides the paper describes, and SoA's unit zone
+  // stride with a plane-sized variable stride.
+  const Strides var_major{1, nv, nv * ni, nv * ni * nj};
+  const Strides zone_major{plane, 1, static_cast<std::size_t>(ni),
+                           static_cast<std::size_t>(ni) * nj};
+  for (const LayoutKind kind : kAllLayouts) {
     const BlockLayout layout(kind, nvar, ni, nj, nk);
-    ASSERT_TRUE(layout.affine());
-    const std::size_t base = layout.offset(2, 3, 4, 2, 1);
-    EXPECT_EQ(layout.offset(2, 4, 4, 2, 1) - base, layout.zone_stride(0));
-    EXPECT_EQ(layout.offset(2, 3, 5, 2, 1) - base, layout.zone_stride(1));
-    EXPECT_EQ(layout.offset(2, 3, 4, 3, 1) - base, layout.zone_stride(2));
-    EXPECT_EQ(layout.offset(3, 3, 4, 2, 1) - base, layout.var_stride());
+    const Strides s = kind == LayoutKind::kVarMajor ? var_major : zone_major;
+    for (const auto [v, i, j, k, b] :
+         {std::array<int, 5>{0, 0, 0, 0, 0}, {2, 3, 4, 2, 1},
+          {4, 10, 8, 4, 2}}) {
+      const std::size_t base = layout.offset(v, i, j, k, b);
+      EXPECT_EQ(layout.offset(v + 1, i, j, k, b) - base, s.v);
+      EXPECT_EQ(layout.offset(v, i + 1, j, k, b) - base, s.i);
+      EXPECT_EQ(layout.offset(v, i, j + 1, k, b) - base, s.j);
+      EXPECT_EQ(layout.offset(v, i, j, k + 1, b) - base, s.k);
+      EXPECT_EQ(layout.offset(v, i, j, k, b + 1) - base,
+                layout.block_stride());
+    }
   }
-  // The Fortran pencil strides the paper describes.
-  const BlockLayout vm(LayoutKind::kVarMajor, nvar, ni, nj, nk);
-  EXPECT_EQ(vm.var_stride(), 1u);
-  EXPECT_EQ(vm.zone_stride(0), static_cast<std::size_t>(nvar));
-  EXPECT_EQ(vm.zone_stride(1), static_cast<std::size_t>(nvar) * ni);
-  // SoA: unit zone stride, plane-sized variable stride.
-  const BlockLayout zm(LayoutKind::kZoneMajor, nvar, ni, nj, nk);
-  EXPECT_EQ(zm.zone_stride(0), 1u);
-  EXPECT_EQ(zm.var_stride(), static_cast<std::size_t>(ni) * nj * nk);
-  EXPECT_FALSE(
-      BlockLayout(LayoutKind::kTiled, nvar, ni, nj, nk).affine());
-}
-
-TEST(LayoutMap, TiledIsZoneMajorInsideOneTile) {
-  const BlockLayout layout(LayoutKind::kTiled, 4, 16, 16, 8);
-  // Within a tile the i-neighbour is one double away; crossing a tile
-  // boundary jumps by a whole tile of every variable.
-  const std::size_t base = layout.offset(1, 0, 0, 0, 0);
-  EXPECT_EQ(layout.offset(1, 1, 0, 0, 0) - base, 1u);
-  EXPECT_NE(layout.offset(1, 8, 0, 0, 0) - layout.offset(1, 7, 0, 0, 0), 1u);
 }
 
 TEST(LayoutMap, VarRunsCoverTheZoneVectorExactly) {
@@ -344,13 +345,14 @@ void expect_bit_identical(const std::vector<double>& a,
 }
 
 std::vector<double> run_sedov(LayoutKind layout, int threads) {
-  rt::Runtime runtime(rt::RuntimeOptions{.lanes = threads});
+  rt::Runtime runtime(
+      rt::RuntimeOptions{.lanes = threads, .layout = layout});
   sim::SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 2;
   params.maxblocks = 128;
-  sim::SedovSetup setup(params, mem::HugePolicy::kNone, runtime, layout);
+  sim::SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroSolver hydro(m, setup.eos());
   perf::Timers timers;
@@ -382,13 +384,14 @@ TEST(LayoutPhysics, SedovEndStateBitIdenticalAcrossLayoutsAndThreads) {
 }
 
 std::vector<double> run_supernova(LayoutKind layout, int threads) {
-  rt::Runtime runtime(rt::RuntimeOptions{.lanes = threads});
+  rt::Runtime runtime(
+      rt::RuntimeOptions{.lanes = threads, .layout = layout});
   sim::SupernovaParams p;
   p.max_level = 3;
   p.maxblocks = 400;
   p.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
   p.table_cache = "helm_table_layout.bin";
-  sim::SupernovaSetup setup(p, mem::HugePolicy::kNone, runtime, layout);
+  sim::SupernovaSetup setup(p, mem::HugePolicy::kNone, runtime);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroOptions hopt;
   hopt.cfl = 0.6;
@@ -457,6 +460,8 @@ void paint(mesh::AmrMesh& m) {
 
 TEST(LayoutCheckpoint, AnyLayoutRestoresAnyLayoutExactly) {
   rt::Runtime runtime;
+  const test::ScratchDir scratch;
+  const std::string file = scratch.file("ckpt_layout.bin");
   for (const LayoutKind writer : kAllLayouts) {
     mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone, writer,
                            runtime.page_pool(), &runtime.arena());
@@ -464,13 +469,13 @@ TEST(LayoutCheckpoint, AnyLayoutRestoresAnyLayoutExactly) {
     original.refine_block(original.tree().find(2, {0, 0, 0}));
     paint(original);
     original.fill_guardcells();
-    sim::write_checkpoint("ckpt_layout.bin", original, {0.5, 7});
+    sim::write_checkpoint(file, original, {0.5, 7});
 
     for (const LayoutKind reader : kAllLayouts) {
       mesh::AmrMesh restored(ckpt_config(), mem::HugePolicy::kNone, reader,
                              runtime.page_pool(), &runtime.arena());
       const sim::CheckpointInfo info =
-          sim::read_checkpoint("ckpt_layout.bin", restored);
+          sim::read_checkpoint(file, restored);
       EXPECT_DOUBLE_EQ(info.sim_time, 0.5);
       EXPECT_EQ(info.step, 7);
       ASSERT_EQ(restored.tree().leaves_morton(),

@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -60,33 +61,56 @@ using mesh::LayoutKind;
 // ----------------------------------------------------- context plumbing
 
 TEST(RuntimeContext, ExplicitRuntimeSnapshotsConfigAtConstruction) {
-  const LayoutKind resolved = rt::Runtime().layout();
+  // A nullopt layout/policy is read from the environment once, at
+  // construction; later environment changes do not reach a built tenant.
+  const char* saved_layout = std::getenv(mesh::kLayoutEnvVar);
+  const std::string restore_layout = saved_layout ? saved_layout : "";
+  const char* saved_policy = std::getenv(mem::kPolicyEnvVar);
+  const std::string restore_policy = saved_policy ? saved_policy : "";
 
-  mesh::set_default_layout(LayoutKind::kZoneMajor);
+  ::setenv(mesh::kLayoutEnvVar, "zone_major", 1);
+  ::setenv(mem::kPolicyEnvVar, "thp", 1);
   rt::RuntimeOptions opts;
   opts.lanes = 2;
-  rt::Runtime snapshot(opts);  // nullopt layout: snapshot the resolution now
+  rt::Runtime snapshot(opts);  // nullopt layout/policy: resolved now
 
-  mesh::set_default_layout(LayoutKind::kTiled);
+  ::setenv(mesh::kLayoutEnvVar, "var_major", 1);
+  ::setenv(mem::kPolicyEnvVar, "none", 1);
   EXPECT_EQ(snapshot.layout(), LayoutKind::kZoneMajor);
-  EXPECT_EQ(rt::Runtime().layout(), LayoutKind::kTiled);  // built later
+  EXPECT_EQ(snapshot.huge_policy(), mem::HugePolicy::kThp);
+  EXPECT_EQ(rt::Runtime().layout(), LayoutKind::kVarMajor);  // built later
+  EXPECT_EQ(rt::Runtime().huge_policy(), mem::HugePolicy::kNone);
   EXPECT_EQ(snapshot.lanes(), 2);
 
   // The lane count changes only through the runtime's own arena.
   snapshot.arena().set_lanes(3);
   EXPECT_EQ(snapshot.lanes(), 3);
 
+  // Explicit options win, and a bad environment cannot fail a runtime
+  // that names its layout and policy.
+  ::setenv(mesh::kLayoutEnvVar, "junk", 1);
+  ::setenv(mem::kPolicyEnvVar, "junk", 1);
+  EXPECT_THROW(rt::Runtime(), ConfigError);
   rt::RuntimeOptions explicit_opts;
   explicit_opts.lanes = 1;
-  explicit_opts.layout = LayoutKind::kVarMajor;
-  explicit_opts.policy = mem::HugePolicy::kNone;
+  explicit_opts.layout = LayoutKind::kZoneMajor;
+  explicit_opts.policy = mem::HugePolicy::kHugetlbfs;
   explicit_opts.log_tag = "tenant";
   rt::Runtime pinned(explicit_opts);
-  EXPECT_EQ(pinned.layout(), LayoutKind::kVarMajor);
-  EXPECT_EQ(pinned.huge_policy(), mem::HugePolicy::kNone);
+  EXPECT_EQ(pinned.layout(), LayoutKind::kZoneMajor);
+  EXPECT_EQ(pinned.huge_policy(), mem::HugePolicy::kHugetlbfs);
   EXPECT_EQ(pinned.log_tag(), "tenant");
 
-  mesh::set_default_layout(resolved);  // restore for later tests
+  // Restore the environment for later tests.
+  const auto restore = [](const char* var, const std::string& value) {
+    if (value.empty()) {
+      ::unsetenv(var);
+    } else {
+      ::setenv(var, value.c_str(), 1);
+    }
+  };
+  restore(mesh::kLayoutEnvVar, restore_layout);
+  restore(mem::kPolicyEnvVar, restore_policy);
 }
 
 TEST(RuntimeContext, PoolIsPrivateByDefaultAndSharableByInjection) {

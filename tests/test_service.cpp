@@ -516,7 +516,7 @@ ProbeResult run_probe(LayoutKind layout, int quantum, bool interference) {
     c.layout = LayoutKind::kVarMajor;
     others.push_back(service.submit(std::move(c)));
     JobSpec s = sedov_spec(8);
-    s.layout = LayoutKind::kTiled;
+    s.layout = LayoutKind::kZoneMajor;
     s.sedov.max_level = 1;
     others.push_back(service.submit(std::move(s)));
   }
@@ -531,7 +531,7 @@ ProbeResult run_probe(LayoutKind layout, int quantum, bool interference) {
 
 TEST(ServiceFairShare, QuantaInterleavedBitIdenticalToSolo) {
   for (const LayoutKind layout :
-       {LayoutKind::kVarMajor, LayoutKind::kZoneMajor, LayoutKind::kTiled}) {
+       {LayoutKind::kVarMajor, LayoutKind::kZoneMajor}) {
     const ProbeResult solo = run_probe(layout, 4, /*interference=*/false);
     ASSERT_GT(solo.state.size(), 1u);
     ASSERT_GT(solo.counters.seq, 0u);

@@ -241,8 +241,7 @@ namespace {
 using mesh::LayoutKind;
 
 constexpr LayoutKind kAllLayouts[] = {LayoutKind::kVarMajor,
-                                      LayoutKind::kZoneMajor,
-                                      LayoutKind::kTiled};
+                                      LayoutKind::kZoneMajor};
 
 /// Canonical end state: every leaf interior zone vector in Morton order,
 /// the final time, and the full published software-counter set (wall
@@ -284,14 +283,15 @@ void expect_identical(const RunResult& a, const RunResult& b,
 }
 
 RunResult run_sedov(LayoutKind layout, int threads, ExecMode mode) {
-  rt::Runtime runtime(rt::RuntimeOptions{.lanes = threads});
+  rt::Runtime runtime(
+      rt::RuntimeOptions{.lanes = threads, .layout = layout});
   perf::PerfContext perf;
   SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 2;
   params.maxblocks = 128;
-  SedovSetup setup(params, mem::HugePolicy::kNone, runtime, layout);
+  SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroSolver hydro(m, setup.eos());
   perf::Timers timers;
@@ -345,14 +345,15 @@ TEST(TaskGraphPhysics, SedovBitIdenticalAcrossModesLanesAndLayouts) {
 }
 
 RunResult run_supernova(LayoutKind layout, int threads, ExecMode mode) {
-  rt::Runtime runtime(rt::RuntimeOptions{.lanes = threads});
+  rt::Runtime runtime(
+      rt::RuntimeOptions{.lanes = threads, .layout = layout});
   perf::PerfContext perf;
   SupernovaParams p;
   p.max_level = 3;
   p.maxblocks = 400;
   p.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
   p.table_cache = "helm_table_taskgraph.bin";
-  SupernovaSetup setup(p, mem::HugePolicy::kNone, runtime, layout);
+  SupernovaSetup setup(p, mem::HugePolicy::kNone, runtime);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroOptions hopt;
   hopt.cfl = 0.6;

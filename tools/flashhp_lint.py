@@ -40,17 +40,20 @@ so this linter does:
                       explicit perf::PerfContext so experiment arms and
                       threads cannot leak counters into each other; a new
                       process-wide singleton reintroduces exactly that.
-                      The rule also bans the process-global accessors —
-                      `mesh::default_layout()` and, as reintroduction
-                      guards for the retired ones, `PerfContext::global()`,
-                      `global_page_pool()`, `global_arena()`,
-                      `process_arena()`, `Runtime::process_default()`,
-                      `set_threads()`, `par::threads()`. No file is
-                      exempt: the Logger (one log stream per process, by
-                      design) and rt::Runtime's one read of the layout
-                      default carry line-level allows. Code takes
+                      The rule also bans, as reintroduction guards for
+                      the retired process-global accessors,
+                      `PerfContext::global()`, `global_page_pool()`,
+                      `global_arena()`, `process_arena()`,
+                      `Runtime::process_default()`, `set_threads()`,
+                      `par::threads()` and the process-wide layout and
+                      page-policy slots `default_layout()`,
+                      `set_default_layout()`, `default_policy()`,
+                      `set_default_policy()`. No file is exempt: the
+                      Logger (one log stream per process, by design)
+                      carries a line-level allow. Code takes
                       `runtime.perf()`, `runtime.page_pool()`,
-                      `runtime.arena()`, `runtime.layout()`.
+                      `runtime.arena()`, `runtime.layout()`,
+                      `runtime.huge_policy()`.
 
   runtime-construction  (--check-runtime only) an executable under
                       examples/ or bench/ that constructs simulation
@@ -66,7 +69,7 @@ so this linter does:
                       only in src/mesh/layout.*. The block-data layout is a
                       runtime-selectable BlockLayout policy; offset math
                       re-derived anywhere else silently assumes var_major
-                      and breaks under FLASHHP_LAYOUT=zone_major|tiled.
+                      and breaks under FLASHHP_LAYOUT=zone_major.
 
   procfs-hygiene      "/proc/..." path literals are allowed only under
                       src/mem/ and src/obs/ — the readers there take
@@ -303,15 +306,15 @@ MAKE_UNIQUE_ARRAY_RE = re.compile(r"\bmake_unique\s*<[^;>]*\[\s*\]\s*>")
 QUOTED_INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
 PRAGMA_ONCE_RE = re.compile(r"#\s*pragma\s+once\b")
 SINGLETON_RE = re.compile(r"(?:\.|->|::)\s*instance\s*\(\s*\)")
-# The process-global accessors: the layout default, plus the retired
-# ambient-context path kept as reintroduction guards. `\bdefault_layout`
-# deliberately does NOT match `set_default_layout(` (no word boundary
-# after `set_`): *choosing* the process default is configuration,
-# *reading* it is the ambient dependency the rule exists to stop.
+# The retired process-global accessors, kept as reintroduction guards:
+# the ambient execution context and the process-wide layout and
+# page-policy slots (reading or pinning them). A tenant's layout and
+# policy are decided by its rt::Runtime, at construction.
 PROCESS_GLOBAL_RE = re.compile(
     r"PerfContext\s*::\s*global\s*\(|\bglobal_page_pool\s*\(|"
-    r"\bdefault_layout\s*\(|\bglobal_arena\s*\(|\bprocess_arena\s*\(|"
-    r"\bprocess_default\s*\(|\bset_threads\s*\(|\bpar\s*::\s*threads\s*\(")
+    r"\b(?:set_)?default_(?:layout|policy)\s*\(|\bglobal_arena\s*\(|"
+    r"\bprocess_arena\s*\(|\bprocess_default\s*\(|\bset_threads\s*\(|"
+    r"\bpar\s*::\s*threads\s*\(")
 # --check-runtime: the types whose construction marks an executable as
 # "builds simulation state", and the tokens that satisfy the obligation.
 SIM_STATE_RE = re.compile(
@@ -667,27 +670,30 @@ SELF_TEST_FILES = {
         '}\n',
         {"singleton-instance": 5},
     ),
-    # rt/runtime.cpp is not exempt either: its one read of the layout
-    # default carries a line-level allow, which covers that line only.
+    # rt/runtime.cpp resolves a tenant's layout and policy from its
+    # options or the environment — no process-wide slot, nothing to allow.
     "src/rt/runtime.cpp": (
         'namespace fhp::rt {\n'
-        'void resolve_once() {\n'
-        '  // fhp-lint: allow(singleton-instance) -- read once, here\n'
-        '  auto kind = mesh::default_layout();\n'
-        '  auto& ctx = perf::PerfContext::global();\n'
-        '  (void)kind; (void)ctx;\n'
+        'void resolve_once(const RuntimeOptions& o) {\n'
+        '  auto kind = o.layout ? *o.layout\n'
+        '                       : mesh::layout_from_environment();\n'
+        '  auto policy = o.policy ? *o.policy\n'
+        '                         : mem::policy_from_environment();\n'
+        '  (void)kind; (void)policy;\n'
         '}\n'
         '}  // namespace fhp::rt\n',
-        {"singleton-instance": 1},
-    ),
-    # Pinning the default (set_default_layout) is configuration, not an
-    # ambient read; it must not trip the accessor ban.
-    "src/sim/set_layout_ok.cpp": (
-        'namespace fhp::mesh { enum class LayoutKind : int; }\n'
-        'void choose(fhp::mesh::LayoutKind k) {\n'
-        '  fhp::mesh::set_default_layout(k);\n'
-        '}\n',
         {},
+    ),
+    # The retired process-wide layout and policy slots stay banned,
+    # pinning them as much as reading them.
+    "src/sim/bad_process_defaults.cpp": (
+        'void pin_process_state(fhp::mesh::LayoutKind k) {\n'
+        '  fhp::mesh::set_default_layout(k);\n'
+        '  fhp::mem::set_default_policy(fhp::mem::HugePolicy::kThp);\n'
+        '  auto p = fhp::mem::default_policy();\n'
+        '  (void)p;\n'
+        '}\n',
+        {"singleton-instance": 3},
     ),
     # No file is licensed to define a singleton: one in src/perf is a
     # finding like anywhere else.
